@@ -3,15 +3,13 @@
 Commands: construct, check, search, verify, feasible, equal-norm.
 Exit codes: 0 success, 1 usage or I/O or invalid input (including trace
 mismatch), 2 infeasible / not ready / verification failure, 3 search
-budget exhausted.  The environment variable ST_FACTOR_BOUND overrides the
-square-free factorization bound used by exact verification.
+budget exhausted.  Exact verification never falls back to float mode.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -20,7 +18,6 @@ from .construct import equal_norm_frame, pnstc, unit_tight_feasible
 from .errors import (
     ConstructionStuckError,
     DegenerateSpectrumError,
-    FactorizationIncompleteError,
     InfeasibleError,
     InvalidDimsError,
     NotSortedError,
@@ -29,24 +26,14 @@ from .errors import (
     ZeroRowError,
 )
 from .readiness import FrameSpec, check_ready
-from .scalar import DEFAULT_FACTOR_BOUND, format_rational, parse_rational
-from .search import SearchRequest, find_ready_orderings
+from .scalar import format_rational, parse_rational
+from .search import DEFAULT_BUDGET, DEFAULT_MAX_RESULTS, SearchRequest, find_ready_orderings
 from .verify import DEFAULT_FLOAT_TOL, verify_matrix
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_BUDGET = 3
-
-
-def _factor_bound() -> int:
-    raw = os.environ.get("ST_FACTOR_BOUND")
-    if raw is None:
-        return DEFAULT_FACTOR_BOUND
-    bound = int(raw)
-    if bound < 2:
-        raise ValueError("ST_FACTOR_BOUND must be at least 2")
-    return bound
 
 
 def _emit(payload) -> None:
@@ -167,13 +154,7 @@ def cmd_verify(args) -> int:
     if args.spec:
         spec, _ = formats.load_spec_file(args.spec)
     try:
-        try:
-            report = verify_matrix(
-                matrix, spec, mode=args.mode, tol=args.tol, factor_bound=_factor_bound()
-            )
-        except FactorizationIncompleteError as exc:
-            print(f"warning: exact mode unavailable ({exc}); retrying float", file=sys.stderr)
-            report = verify_matrix(matrix, spec, mode="float", tol=args.tol)
+        report = verify_matrix(matrix, spec, mode=args.mode, tol=args.tol)
     except ZeroRowError as exc:
         print(f"not a frame: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -245,8 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="search ready orderings of the spec's multisets")
     p.add_argument("spec")
-    p.add_argument("--max-results", type=int, default=16)
-    p.add_argument("--budget", type=int, default=1_000_000)
+    p.add_argument("--max-results", type=int, default=DEFAULT_MAX_RESULTS)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("verify", help="verify a matrix file (JSON or CSV)")

@@ -78,12 +78,6 @@ class SynthesisMatrix:
         """Entries sorted by (col, row), the canonical export order."""
         return sorted(self.entries.items(), key=lambda kv: (kv[0][1], kv[0][0]))
 
-    def row_entries(self) -> list[dict[int, RadicalScalar]]:
-        rows: list[dict[int, RadicalScalar]] = [{} for _ in range(self.dim)]
-        for (r, c), value in self.entries.items():
-            rows[r][c] = value
-        return rows
-
     def to_float_rows(self) -> list[list[float]]:
         dense = [[0.0] * self.count for _ in range(self.dim)]
         for (r, c), value in self.entries.items():

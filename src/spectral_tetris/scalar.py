@@ -130,11 +130,6 @@ class RadicalScalar:
         return f"{prefix}sqrt({format_rational(self.radicand)})"
 
 
-def radical_mul(a: RadicalScalar, b: RadicalScalar) -> RadicalScalar:
-    """Exact product of two radicals (signs multiply, radicands multiply)."""
-    return a * b
-
-
 def to_float(a: RadicalScalar) -> float:
     """Nearest double to sign * sqrt(radicand).
 

@@ -1,25 +1,38 @@
-"""Verification of synthesis matrices: exact where possible, float otherwise.
+"""Verification of synthesis matrices: exact, or float on request.
 
-Row and column squared sums are always exact (sums of radicands).  Row
-orthogonality is decided exactly by canonicalizing every cross-term
-product to coefficient * sqrt(square-free) and requiring each group's
-coefficients to cancel; in float mode the normalized inner product is
-compared against a tolerance instead.  Frame bounds come from the row
-sums when the frame operator is verified diagonal, and from a dense
-symmetric eigensolver otherwise.
+Row and column squared sums are always exact (sums of radicands).  Two
+rows can have a nonzero inner product only through the columns they
+share, so orthogonality indexes the entries by column once and looks
+only at row pairs that meet in some column: O(sum of nnz_c^2) cross
+terms instead of O(N^2) row pairs.
+
+Exact mode decides each pair's sum of signed radicals without
+factoring.  Square roots of positive rationals from distinct square
+classes are linearly independent over Q (Besicovitch, 1940), and
+sqrt(a), sqrt(b) share a class iff a/b is a rational square, which
+``math.isqrt`` settles on its numerator and denominator.  So a sum is
+zero iff each class's coefficients cancel.  Float mode accumulates the
+same cross terms as doubles, in ascending column order, and compares
+each normalized inner product against a tolerance.  Frame bounds come
+from the row sums when the frame operator is verified diagonal, and from
+a dense symmetric eigensolver otherwise.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .construct import SynthesisMatrix
-from .errors import FactorizationIncompleteError, ZeroRowError
+from .errors import ZeroRowError
 from .readiness import FrameSpec
-from .scalar import DEFAULT_FACTOR_BOUND, ZERO, RadicalScalar, canonicalize
+from .scalar import ZERO, RadicalScalar
+from .scalar import canonicalize  # noqa: F401  (bench/tracing.py wraps verify.canonicalize)
 
 DEFAULT_FLOAT_TOL = 1e-10
+
+Column = list[tuple[int, RadicalScalar]]  # (row, value) of each nonzero
 
 
 @dataclass(frozen=True)
@@ -49,44 +62,88 @@ def sparsity(matrix: SynthesisMatrix) -> tuple[int, int]:
 
 
 def _square_sums(matrix: SynthesisMatrix) -> tuple[list[Fraction], list[Fraction]]:
+    """Exact row and column square sums; raises ZeroRowError on a zero row."""
     rows = [ZERO] * matrix.dim
     cols = [ZERO] * matrix.count
     for (r, c), value in matrix.entries.items():
         rows[r] += value.square()
         cols[c] += value.square()
+    for index, total in enumerate(rows):
+        if total == 0:
+            raise ZeroRowError(f"row {index} is zero; the lower frame bound fails")
     return rows, cols
 
 
-def _rows_orthogonal_exact(
-    row_maps: list[dict[int, RadicalScalar]], factor_bound: int
-) -> bool:
-    for i in range(len(row_maps)):
-        for j in range(i + 1, len(row_maps)):
-            a, b = row_maps[i], row_maps[j]
-            if len(b) < len(a):
-                a, b = b, a
-            groups: dict[int, Fraction] = {}
-            for col, left in a.items():
-                right = b.get(col)
-                if right is None:
-                    continue
-                canon = canonicalize(left * right, factor_bound)
-                key = canon.square_free
-                groups[key] = groups.get(key, ZERO) + canon.coefficient
-            if any(total != 0 for total in groups.values()):
-                return False
-    return True
+def _columns(matrix: SynthesisMatrix) -> list[Column]:
+    columns: list[Column] = [[] for _ in range(matrix.count)]
+    for (r, c), value in matrix.entries.items():
+        columns[c].append((r, value))
+    return columns
 
 
-def _rows_orthogonal_float(matrix: SynthesisMatrix, tol: float) -> bool:
-    dense = matrix.to_float_rows()
-    norms = [sum(x * x for x in row) ** 0.5 for row in dense]
-    for i in range(matrix.dim):
-        for j in range(i + 1, matrix.dim):
-            inner = sum(x * y for x, y in zip(dense[i], dense[j]))
-            if abs(inner) > tol * norms[i] * norms[j]:
-                return False
-    return True
+def _rational_sqrt(q: Fraction) -> Fraction | None:
+    """sqrt(q) when q >= 0 is a rational square, else None.
+
+    A reduced fraction is a square iff its numerator and denominator are.
+    """
+    num = math.isqrt(q.numerator)
+    den = math.isqrt(q.denominator)
+    if num * num == q.numerator and den * den == q.denominator:
+        return Fraction(num, den)
+    return None
+
+
+def _radical_sum_is_zero(terms: dict[Fraction, int]) -> bool:
+    """Whether sum(m * sqrt(r)) over ``terms`` (radicand r -> m) is zero.
+
+    Terms are merged into square classes, each with a representative
+    radicand: sqrt(r) = sqrt(r / rep) * sqrt(rep) with sqrt(r / rep)
+    rational.  The sum is zero iff every class coefficient is zero.
+    A zero radicand carries multiplicity 0 (a zero entry has sign 0), so
+    dropping zero multiplicities also keeps every representative positive.
+    """
+    classes: list[list] = []  # [representative radicand, coefficient]
+    for radicand, multiplicity in terms.items():
+        if multiplicity == 0:
+            continue
+        for group in classes:
+            root = _rational_sqrt(radicand / group[0])
+            if root is not None:
+                group[1] += multiplicity * root
+                break
+        else:
+            classes.append([radicand, Fraction(multiplicity)])
+    return all(coefficient == 0 for _, coefficient in classes)
+
+
+def _rows_orthogonal_exact(columns: list[Column]) -> bool:
+    # per sharing row pair (i < j): product radicand -> sum of sign products
+    pairs: dict[tuple[int, int], dict[Fraction, int]] = {}
+    for column in columns:
+        for a in range(len(column)):
+            row_a, left = column[a]
+            for row_b, right in column[a + 1 :]:
+                key = (row_a, row_b) if row_a < row_b else (row_b, row_a)
+                terms = pairs.setdefault(key, {})
+                radicand = left.radicand * right.radicand
+                terms[radicand] = terms.get(radicand, 0) + left.sign * right.sign
+    return all(_radical_sum_is_zero(terms) for terms in pairs.values())
+
+
+def _rows_orthogonal_float(matrix: SynthesisMatrix, columns: list[Column], tol: float) -> bool:
+    # Terms are added in ascending column order, the order of a dense row
+    # dot product; the zero terms a dense product adds change no sum.
+    norms_sq = [0.0] * matrix.dim
+    inner: dict[tuple[int, int], float] = {}
+    for column in columns:
+        values = [(r, float(value)) for r, value in column]
+        for a, (row_a, x) in enumerate(values):
+            norms_sq[row_a] += x * x
+            for row_b, y in values[a + 1 :]:
+                key = (row_a, row_b) if row_a < row_b else (row_b, row_a)
+                inner[key] = inner.get(key, 0.0) + x * y
+    norms = [total**0.5 for total in norms_sq]
+    return not any(abs(total) > tol * norms[i] * norms[j] for (i, j), total in inner.items())
 
 
 def verify_matrix(
@@ -94,24 +151,23 @@ def verify_matrix(
     spec: FrameSpec | None = None,
     mode: str = "exact",
     tol: float = DEFAULT_FLOAT_TOL,
-    factor_bound: int = DEFAULT_FACTOR_BOUND,
 ) -> VerificationReport:
     """Full report; raises ZeroRowError when a row has no mass at all.
 
-    In exact mode a FactorizationIncompleteError propagates so the caller
-    can retry in float mode.
+    Exact mode never falls back to floats.  Float mode needs ``tol >= 0``,
+    so that row pairs sharing no column are orthogonal in either mode.
     """
     if mode not in ("exact", "float"):
         raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
+    if mode == "float" and not tol >= 0:
+        raise ValueError(f"tolerance must be nonnegative, got {tol!r}")
     row_sums, col_sums = _square_sums(matrix)
-    for index, total in enumerate(row_sums):
-        if total == 0:
-            raise ZeroRowError(f"row {index} is zero; the lower frame bound fails")
+    columns = _columns(matrix)
     if mode == "exact":
-        orthogonal = _rows_orthogonal_exact(matrix.row_entries(), factor_bound)
+        orthogonal = _rows_orthogonal_exact(columns)
         mode_label = "exact"
     else:
-        orthogonal = _rows_orthogonal_float(matrix, tol)
+        orthogonal = _rows_orthogonal_float(matrix, columns, tol)
         mode_label = f"float({tol:g})"
     matches: bool | None = None
     if spec is not None:
@@ -131,11 +187,7 @@ def verify_matrix(
     )
 
 
-def frame_bounds_float(
-    matrix: SynthesisMatrix,
-    tol: float = DEFAULT_FLOAT_TOL,
-    factor_bound: int = DEFAULT_FACTOR_BOUND,
-) -> tuple[float, float]:
+def frame_bounds_float(matrix: SynthesisMatrix) -> tuple[float, float]:
     """Extreme eigenvalues of the frame operator as doubles.
 
     Exact row sums when the rows verify orthogonal (diagonal operator);
@@ -143,14 +195,7 @@ def frame_bounds_float(
     tolerance about 1e-9).
     """
     row_sums, _ = _square_sums(matrix)
-    for index, total in enumerate(row_sums):
-        if total == 0:
-            raise ZeroRowError(f"row {index} is zero; the lower frame bound fails")
-    try:
-        orthogonal = _rows_orthogonal_exact(matrix.row_entries(), factor_bound)
-    except FactorizationIncompleteError:
-        orthogonal = _rows_orthogonal_float(matrix, tol)
-    if orthogonal:
+    if _rows_orthogonal_exact(_columns(matrix)):
         return float(min(row_sums)), float(max(row_sums))
     import numpy as np
 

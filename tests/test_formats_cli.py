@@ -263,28 +263,28 @@ def test_cli_verify_csv_falls_back_to_float(tmp_path, capsys):
     assert payload["orthogonalityMode"].startswith("float")
 
 
-def test_cli_factor_bound_env_fallback(tmp_path, capsys, monkeypatch):
-    # two large primes in one radicand defeat a tiny factor bound, so the
-    # exact path reports and the verifier retries in float mode
+def test_cli_verify_decides_large_prime_radicands_exactly(tmp_path, capsys):
+    # sqrt(pq) with two primes above 10^6 cannot be split by trial
+    # division; the square-class test decides both sign patterns exactly
     p, q = 1_000_003, 1_000_033
-    matrix_payload = {
-        "dim": 2,
-        "count": 2,
-        "entries": [
-            {"row": 0, "col": 0, "sign": 1, "rad": {"num": p * q, "den": 1}},
-            {"row": 0, "col": 1, "sign": 1, "rad": {"num": 1, "den": 1}},
-            {"row": 1, "col": 0, "sign": 1, "rad": {"num": 1, "den": 1}},
-            {"row": 1, "col": 1, "sign": -1, "rad": {"num": p * q, "den": 1}},
-        ],
-        "metadata": {},
-    }
-    matrix_path = tmp_path / "matrix.json"
-    write_json(matrix_path, matrix_payload)
-    monkeypatch.setenv("ST_FACTOR_BOUND", "100")
-    code = main(["verify", str(matrix_path)])
-    captured = capsys.readouterr()
-    assert "retrying float" in captured.err
-    payload = json.loads(captured.out)
-    assert payload["orthogonalityMode"].startswith("float")
-    assert payload["orthogonal"] is True
-    assert code == 0
+    for sign, orthogonal, expected_code in ((-1, True, 0), (1, False, 2)):
+        matrix_payload = {
+            "dim": 2,
+            "count": 2,
+            "entries": [
+                {"row": 0, "col": 0, "sign": 1, "rad": {"num": p * q, "den": 1}},
+                {"row": 0, "col": 1, "sign": 1, "rad": {"num": 1, "den": 1}},
+                {"row": 1, "col": 0, "sign": 1, "rad": {"num": 1, "den": 1}},
+                {"row": 1, "col": 1, "sign": sign, "rad": {"num": p * q, "den": 1}},
+            ],
+            "metadata": {},
+        }
+        matrix_path = tmp_path / "matrix.json"
+        write_json(matrix_path, matrix_payload)
+        code = main(["verify", str(matrix_path)])
+        captured = capsys.readouterr()
+        assert "retrying float" not in captured.err
+        payload = json.loads(captured.out)
+        assert payload["orthogonalityMode"] == "exact"
+        assert payload["orthogonal"] is orthogonal
+        assert code == expected_code

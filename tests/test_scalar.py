@@ -11,7 +11,6 @@ from spectral_tetris import (
     canonicalize,
     format_rational,
     parse_rational,
-    radical_mul,
     to_float,
 )
 
@@ -57,11 +56,9 @@ def test_radical_invariants():
 
 
 def test_radical_mul_examples():
-    assert radical_mul(RadicalScalar(1, F(2)), RadicalScalar(-1, F(2))) == RadicalScalar(-1, F(4))
-    assert radical_mul(RadicalScalar(1, F(1, 2)), RadicalScalar(1, F(1, 2))) == RadicalScalar(
-        1, F(1, 4)
-    )
-    assert radical_mul(RadicalScalar.zero(), RadicalScalar(1, F(7))) == RadicalScalar.zero()
+    assert RadicalScalar(1, F(2)) * RadicalScalar(-1, F(2)) == RadicalScalar(-1, F(4))
+    assert RadicalScalar(1, F(1, 2)) * RadicalScalar(1, F(1, 2)) == RadicalScalar(1, F(1, 4))
+    assert RadicalScalar.zero() * RadicalScalar(1, F(7)) == RadicalScalar.zero()
 
 
 def test_of_rational_squares_back():
@@ -99,7 +96,7 @@ radicals = st.builds(lambda q, s: RadicalScalar(s if q != 0 else 0, q * q), posi
 
 @given(radicals, radicals)
 def test_square_of_product_is_product_of_squares(a, b):
-    assert radical_mul(a, b).square() == a.square() * b.square()
+    assert (a * b).square() == a.square() * b.square()
 
 
 @given(positive_fractions)
