@@ -74,8 +74,8 @@ def test_non_orthogonal_matrix_is_detected_in_both_modes():
 
 
 def test_orthogonality_across_distinct_radicands():
-    # sqrt(2)*sqrt(3) + sqrt(3)*sqrt(2) - sqrt(8)*sqrt(3) = 0 only after
-    # reducing sqrt(24) to 2*sqrt(6): exercises the canonical grouping
+    # sqrt(2)*sqrt(3) + sqrt(3)*sqrt(2) - sqrt(8)*sqrt(3) = 0 only because
+    # sqrt(24) = 2*sqrt(6): exercises the square-class merge
     matrix = matrix_from_grid(
         [
             [cell(1, 2), cell(1, 3), cell(1, 8)],
