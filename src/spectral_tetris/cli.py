@@ -3,7 +3,9 @@
 Commands: construct, check, search, verify, feasible, equal-norm.
 Exit codes: 0 success, 1 usage or I/O or invalid input (including trace
 mismatch), 2 infeasible / not ready / verification failure, 3 search
-budget exhausted.  Exact verification never falls back to float mode.
+budget exhausted; an error's code is its ``exit_code``.  ``construct``
+reports the readiness violation the constructor stops on, so it needs
+no separate check.  Exact verification never falls back to float mode.
 """
 
 from __future__ import annotations
@@ -15,16 +17,7 @@ from fractions import Fraction
 
 from . import formats
 from .construct import equal_norm_frame, pnstc, unit_tight_feasible
-from .errors import (
-    ConstructionStuckError,
-    DegenerateSpectrumError,
-    InfeasibleError,
-    InvalidDimsError,
-    NotSortedError,
-    SpectralTetrisError,
-    TraceMismatchError,
-    ZeroRowError,
-)
+from .errors import ConstructionStuckError, SpectralTetrisError, ZeroRowError
 from .readiness import FrameSpec, check_ready
 from .scalar import format_rational, parse_rational
 from .search import DEFAULT_BUDGET, DEFAULT_MAX_RESULTS, SearchRequest, find_ready_orderings
@@ -51,25 +44,11 @@ def cmd_construct(args) -> int:
     spec, warnings = formats.load_spec_file(args.spec)
     for note in warnings:
         print(f"warning: {note}", file=sys.stderr)
-    if not args.skip_check:
-        report = check_ready(spec)
-        if not report.ready:
-            k, condition = report.violation
-            if condition.value == "trace-mismatch":
-                print(f"invalid spec: {report.detail}", file=sys.stderr)
-                return EXIT_USAGE
-            print(
-                f"not ready: violation at k={k}: {condition.value} ({report.detail})",
-                file=sys.stderr,
-            )
-            return EXIT_INFEASIBLE
     try:
         matrix = pnstc(spec)
-    except TraceMismatchError as exc:
-        print(f"invalid spec: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ConstructionStuckError as exc:
-        print(f"construction stuck: {exc} (reason: {exc.reason})", file=sys.stderr)
+        k, condition = exc.violation
+        print(f"not ready: violation at k={k}: {condition.value} ({exc})", file=sys.stderr)
         return EXIT_INFEASIBLE
     text = formats.dump_matrix_file(matrix, spec, reproducible=args.reproducible)
     with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
@@ -215,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec", help="spec JSON path")
     p.add_argument("out", help="output matrix JSON path")
     p.add_argument("--float-csv", dest="float_csv", help="also write a float CSV dump")
-    p.add_argument("--skip-check", action="store_true", help="skip the readiness pre-check")
     p.add_argument("--reproducible", action="store_true", help="omit the generator stamp")
     p.set_defaults(func=cmd_construct)
 
@@ -253,25 +231,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError, ValueError, TraceMismatchError, NotSortedError) as exc:
+    except (OSError, OverflowError, ValueError, SpectralTetrisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (
-        ConstructionStuckError,
-        InfeasibleError,
-        InvalidDimsError,
-        DegenerateSpectrumError,
-        ZeroRowError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except SpectralTetrisError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return getattr(exc, "exit_code", EXIT_USAGE)
 
 
 if __name__ == "__main__":

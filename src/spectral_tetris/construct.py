@@ -2,13 +2,12 @@
 
 ``pnstc`` builds an N x M synthesis matrix with prescribed row masses
 (eigenvalues of the frame operator) and column masses (squared vector
-norms): a cursor sweeps left to right, filling each row with singleton
-columns while they fit and closing it with a 2x2 block (spanning this row
-and the next) when the next column no longer fits.  Feasibility is
-re-derived on the fly -- each block is existence-checked and the next
-row's residual must stay nonnegative -- so the constructor fails safely
-without a prior readiness check, and succeeds exactly when
-:func:`~spectral_tetris.readiness.check_ready` accepts the ordering.
+norms).  It follows the readiness cursor (``readiness._cursor``): each
+row is filled with singleton columns while they fit and closed with a
+2x2 block (spanning this row and the next) when the next column no
+longer does.  ``pnstc`` only turns the cursor's placements into entries,
+so it succeeds exactly when :func:`~spectral_tetris.readiness.check_ready`
+accepts the ordering, and otherwise stops with the same violation.
 
 ``stc`` is the unit-norm specialization; ``unit_tight`` the unit-norm
 tight constructor with its closed-form feasibility test (redundancy >= 2,
@@ -26,16 +25,14 @@ from fractions import Fraction
 
 from .blocks import BlockSpec, build_block
 from .errors import (
-    BlockInfeasibleError,
     ConstructionStuckError,
     DegenerateSpectrumError,
     InfeasibleError,
     InvalidDimsError,
     NotSortedError,
     OutOfRangeError,
-    TraceMismatchError,
 )
-from .readiness import FrameSpec, _rational_tuple
+from .readiness import FrameSpec, _cursor, _rational_tuple, _require_trace, _unit_spec
 from .scalar import ZERO, RadicalScalar
 
 
@@ -116,106 +113,42 @@ def pnstc(spec: FrameSpec) -> SynthesisMatrix:
     """Construct the synthesis matrix for this exact ordering.
 
     Raises TraceMismatchError when the mass totals differ and
-    ConstructionStuckError (with the cursor position and reason) when the
-    ordering is not ready.
+    ConstructionStuckError, carrying the cursor position and the same
+    ``(k, Violation)`` that :func:`check_ready` reports, when the ordering
+    is not ready.
     """
-    if spec.trace_gap() != 0:
-        raise TraceMismatchError(
-            f"squared norms sum to {sum(spec.norms_sq)}, "
-            f"eigenvalues to {sum(spec.eigenvalues)}"
-        )
-    dim, count = spec.dim, spec.count
+    _require_trace(spec)
     norms = spec.norms_sq
     entries: dict[tuple[int, int], RadicalScalar] = {}
     log: list[BlockRecord] = []
-    col = 0
-    carry = ZERO  # mass a block already placed into the upcoming row
-    for row in range(dim):
-        residual = spec.eigenvalues[row] - carry
-        carry = ZERO
-        if residual < 0:
-            raise ConstructionStuckError(
-                f"row {row} receives {-residual} more block mass than its eigenvalue",
-                row=row,
-                col=col,
-                reason="row-overfull",
-            )
-        while residual > 0:
-            if col >= count:
-                raise ConstructionStuckError(
-                    f"row {row} still needs mass {residual} but all columns are used",
-                    row=row,
-                    col=col,
-                    reason="missing-column",
-                )
-            if norms[col] <= residual:
-                entries[(row, col)] = RadicalScalar.sqrt(norms[col])
-                log.append(BlockRecord(BlockKind.SINGLETON, (row, row), (col, col)))
-                residual -= norms[col]
-                col += 1
-                continue
-            # next column no longer fits: close the row with a 2x2 block
-            if col + 1 >= count:
-                raise ConstructionStuckError(
-                    f"row {row} needs a block over columns {col}, {col + 1} "
-                    f"but only {count} columns exist",
-                    row=row,
-                    col=col,
-                    reason="missing-column",
-                )
-            if row + 1 >= dim:
-                raise ConstructionStuckError(
-                    f"last row needs a block spilling into row {row + 1}",
-                    row=row,
-                    col=col,
-                    reason="missing-row",
-                )
-            block_spec = BlockSpec(x=residual, a1_sq=norms[col], a2_sq=norms[col + 1])
-            try:
-                block = build_block(block_spec)
-            except BlockInfeasibleError as exc:
-                raise ConstructionStuckError(
-                    f"no block with row mass {residual} and column masses "
-                    f"{norms[col]}, {norms[col + 1]} at row {row}: {exc}",
-                    row=row,
-                    col=col,
-                    reason="block-infeasible",
-                ) from exc
-            for dr in (0, 1):
-                for dc in (0, 1):
-                    cell = block.entries[dr][dc]
-                    if not cell.is_zero():
-                        entries[(row + dr, col + dc)] = cell
-            kind = BlockKind.DEGENERATE_BLOCK if block.degenerate else BlockKind.BLOCK_2X2
-            log.append(BlockRecord(kind, (row, row + 1), (col, col + 1)))
-            carry = block_spec.y
-            residual = ZERO
-            col += 2
-    if carry != 0:  # unreachable: a block always has a next row (guarded above)
-        raise ConstructionStuckError(
-            "block mass left over after the last row",
-            row=dim,
-            col=col,
-            reason="row-overfull",
-        )
-    if col != count:  # unreachable once the trace identity holds
-        raise ConstructionStuckError(
-            f"{count - col} columns left unplaced",
-            row=dim,
-            col=col,
-            reason="leftover-columns",
-        )
-    return SynthesisMatrix(dim=dim, count=count, entries=entries, block_log=tuple(log))
+    walk = _cursor(spec)
+    while True:
+        try:
+            row, col, x = next(walk)
+        except StopIteration as stop:
+            failure = stop.value
+            break
+        if x is None:
+            entries[(row, col)] = RadicalScalar.sqrt(norms[col])
+            log.append(BlockRecord(BlockKind.SINGLETON, (row, row), (col, col)))
+            continue
+        block = build_block(BlockSpec(x=x, a1_sq=norms[col], a2_sq=norms[col + 1]))
+        for dr in (0, 1):
+            for dc in (0, 1):
+                cell = block.entries[dr][dc]
+                if not cell.is_zero():
+                    entries[(row + dr, col + dc)] = cell
+        kind = BlockKind.DEGENERATE_BLOCK if block.degenerate else BlockKind.BLOCK_2X2
+        log.append(BlockRecord(kind, (row, row + 1), (col, col + 1)))
+    if failure is not None:
+        violation, detail, (row, col) = failure
+        raise ConstructionStuckError(detail, row=row, col=col, violation=violation)
+    return SynthesisMatrix(dim=spec.dim, count=spec.count, entries=entries, block_log=tuple(log))
 
 
 def stc(eigenvalues, count: int) -> SynthesisMatrix:
     """Unit-norm specialization: all squared norms are 1."""
-    values = _rational_tuple(eigenvalues)
-    if sum(values, ZERO) != count:
-        raise TraceMismatchError(
-            f"eigenvalues sum to {sum(values)} but {count} unit vectors were requested"
-        )
-    return pnstc(FrameSpec(eigenvalues=values, norms_sq=(Fraction(1),) * count))
+    return pnstc(_unit_spec(eigenvalues, count))
 
 
 def k_inequality_scan(count: int, dim: int) -> int | None:

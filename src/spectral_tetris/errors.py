@@ -1,10 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each type's ``exit_code`` is the status the command-line interface exits
+with when it stops on that error: 1 for invalid input, 2 for an
+infeasible or unconstructible request.
+"""
 
 from __future__ import annotations
 
 
 class SpectralTetrisError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 1
 
 
 class NotSortedError(SpectralTetrisError):
@@ -31,24 +38,39 @@ class BlockInfeasibleError(SpectralTetrisError):
 class ConstructionStuckError(SpectralTetrisError):
     """The constructor cannot proceed; the input ordering is not ready.
 
-    ``row``/``col`` are the 0-based cursor position, ``reason`` one of
-    "block-infeasible", "row-overfull", "missing-column", "missing-row",
-    "leftover-columns".
+    ``violation`` is the ``(k, Violation)`` pair that ``check_ready``
+    reports for the same ordering, and the message is its detail text.
+    ``row``/``col`` are the 0-based cursor position of the block that
+    cannot be placed.  ``reason`` names the failure: "block-infeasible"
+    for ``NORM_BOUND_II`` (no block with these masses exists) and
+    "gap-ii" for ``GAP_II`` (no partner column, or the block overfills
+    the next row).
     """
 
-    def __init__(self, message: str, row: int, col: int, reason: str):
+    exit_code = 2
+
+    def __init__(self, message: str, row: int, col: int, violation: tuple):
         super().__init__(message)
         self.row = row
         self.col = col
-        self.reason = reason
+        self.violation = violation
+
+    @property
+    def reason(self) -> str:
+        condition = self.violation[1].value
+        return "block-infeasible" if condition == "norm-bound-ii" else condition
 
 
 class InfeasibleError(SpectralTetrisError):
     """No unit-norm tight frame with these parameters is constructible."""
 
+    exit_code = 2
+
 
 class InvalidDimsError(SpectralTetrisError):
     """Vector count / dimension pair outside the valid range."""
+
+    exit_code = 2
 
 
 class OutOfRangeError(SpectralTetrisError):
@@ -57,6 +79,8 @@ class OutOfRangeError(SpectralTetrisError):
 
 class DegenerateSpectrumError(SpectralTetrisError):
     """Equal-norm construction needs at least two eigenvalues."""
+
+    exit_code = 2
 
 
 class FactorizationIncompleteError(SpectralTetrisError):
@@ -69,3 +93,5 @@ class FactorizationIncompleteError(SpectralTetrisError):
 
 class ZeroRowError(SpectralTetrisError):
     """A synthesis matrix row is identically zero; not a frame."""
+
+    exit_code = 2

@@ -19,18 +19,42 @@ Matrix file: entries sorted by (col, row), no explicit zeros, each entry
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from fractions import Fraction
 from typing import Any
 
+from . import __version__
 from .construct import BlockKind, BlockRecord, SynthesisMatrix
 from .readiness import FrameSpec
 from .scalar import RadicalScalar, format_rational, parse_rational
 
 GENERATOR_NAME = "spectral-tetris"
-GENERATOR_VERSION = "0.1.0"
+GENERATOR_VERSION = __version__
 
 NORM_DENOMINATOR_LIMIT = 10**6
+
+
+def _parsed_json(what: str):
+    """Report malformed parsed JSON as ValueError.
+
+    Indexing a payload of the wrong shape raises KeyError, TypeError and
+    the like; the decorated parser turns them into one ValueError naming
+    the file kind, so the CLI answers with a one-line error.
+    """
+
+    def decorate(parse):
+        @functools.wraps(parse)
+        def checked(payload):
+            try:
+                return parse(payload)
+            except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
+                raise ValueError(f"malformed {what}: {exc!r}") from exc
+
+        return checked
+
+    return decorate
 
 
 def canonical_json(payload: Any) -> str:
@@ -53,6 +77,7 @@ def radical_from_json(payload: dict) -> RadicalScalar:
     return RadicalScalar(int(payload["sign"]), rational_from_json(payload["rad"]))
 
 
+@_parsed_json("spec file")
 def parse_spec_payload(payload: dict) -> tuple[FrameSpec, list[str]]:
     """Build a FrameSpec from a parsed spec file; returns (spec, warnings)."""
     warnings: list[str] = []
@@ -133,12 +158,31 @@ def dump_matrix_file(
     return canonical_json(matrix_to_payload(matrix, spec, reproducible))
 
 
+@_parsed_json("matrix file")
 def matrix_from_payload(payload: dict) -> SynthesisMatrix:
+    """Build a matrix from a parsed matrix file.
+
+    Raises ValueError unless the payload is an object with ``dim`` and
+    ``count`` (both at least 1) and ``entries``, every entry lies inside
+    the matrix and no cell appears twice.
+    """
+    if not isinstance(payload, dict) or not {"dim", "count", "entries"} <= payload.keys():
+        raise ValueError("a matrix file is an object with 'dim', 'count' and 'entries'")
+    dim, count = int(payload["dim"]), int(payload["count"])
+    if dim < 1 or count < 1:
+        raise ValueError(f"matrix dimensions must be positive, got {dim}x{count}")
+    cells = set()
     entries = {}
     for item in payload["entries"]:
+        cell = (int(item["row"]), int(item["col"]))
+        if not (0 <= cell[0] < dim and 0 <= cell[1] < count):
+            raise ValueError(f"entry {cell} lies outside the {dim}x{count} matrix")
+        if cell in cells:
+            raise ValueError(f"entry {cell} appears twice")
+        cells.add(cell)
         value = radical_from_json(item)
         if not value.is_zero():
-            entries[(int(item["row"]), int(item["col"]))] = value
+            entries[cell] = value
     log = []
     for record in payload.get("metadata", {}).get("blockLog", []):
         log.append(
@@ -148,12 +192,7 @@ def matrix_from_payload(payload: dict) -> SynthesisMatrix:
                 cols=tuple(record["colSpan"]),
             )
         )
-    return SynthesisMatrix(
-        dim=int(payload["dim"]),
-        count=int(payload["count"]),
-        entries=entries,
-        block_log=tuple(log),
-    )
+    return SynthesisMatrix(dim=dim, count=count, entries=entries, block_log=tuple(log))
 
 
 def load_matrix_file(path: str) -> SynthesisMatrix:
@@ -161,6 +200,7 @@ def load_matrix_file(path: str) -> SynthesisMatrix:
         return matrix_from_payload(json.load(handle))
 
 
+@_parsed_json("matrix file metadata")
 def spec_from_matrix_metadata(payload: dict) -> FrameSpec | None:
     metadata = payload.get("metadata", {})
     if "eigenvalues" in metadata and "norms_squared" in metadata:
@@ -180,8 +220,8 @@ def dump_float_csv(matrix: SynthesisMatrix) -> str:
 
 
 def load_float_csv(path: str) -> SynthesisMatrix:
-    """Read a plain CSV of decimals; every value is representable exactly
-    as sign * sqrt(value^2) so squared sums stay exact."""
+    """Read a plain CSV of finite decimals; every value is representable
+    exactly as sign * sqrt(value^2) so squared sums stay exact."""
     rows: list[list[float]] = []
     with open(path, encoding="utf-8") as handle:
         for line in handle:
@@ -194,6 +234,8 @@ def load_float_csv(path: str) -> SynthesisMatrix:
     width = len(rows[0])
     if any(len(row) != width for row in rows):
         raise ValueError("ragged CSV matrix")
+    if not all(math.isfinite(value) for row in rows for value in row):
+        raise ValueError("CSV matrix values must be finite")
     entries = {}
     for r, row in enumerate(rows):
         for c, value in enumerate(row):

@@ -1,19 +1,22 @@
 """Exact feasibility tests for ordered eigenvalue / squared-norm sequences.
 
-The central predicate is :func:`check_ready`.  For fixed orderings the cut
-indices m_k are forced: m_k is the unique index with
-``A(m_k) <= L(k) < A(m_k + 1)`` where A and L are the prefix sums of the
-squared norms and the eigenvalues.  Readiness then reduces to a single
-scan: whenever row k has a positive deficit ``d_k = L(k) - A(m_k)`` it must
-end with a 2x2 block over columns m_k+1, m_k+2, which requires
+The central predicate is :func:`check_ready`.  It runs the Spectral Tetris
+cursor (:func:`_cursor`, the one rule :func:`~spectral_tetris.construct.pnstc`
+also builds from): each row takes singleton columns while they fit and
+closes a positive remainder d_k with a 2x2 block over the next two
+columns, spilling into row k+1.  The cursor sticks, and the ordering is
+not ready, when
 
-* the gap condition ``m_(k+1) >= m_k + 2`` (equivalently the block's
-  second-row mass fits into eigenvalue k+1), and
-* the norm bound ``a_(m_k+2)^2 >= d_k`` (the block exists).
+* the norm bound fails: the block's second column is lighter than d_k
+  (``NORM_BOUND_II``, no such block exists), or
+* the gap condition fails: there is no second column, or the block's
+  second-row mass overfills eigenvalue k+1 (``GAP_II``).
 
+Where the cursor opens row k's block is the forced cut m_k, the unique
+index with ``A(m_k) <= L(k) < A(m_k + 1)`` for the prefix sums A and L of
+the squared norms and the eigenvalues (:func:`forced_partition`).
 Consecutive cuts may coincide when a row completes exactly and the next
-row opens with an immediate block; that configuration constructs fine, so
-the scan does not force strictly increasing cuts.
+row opens with an immediate block; that configuration constructs fine.
 
 Also here: the quick sufficient screens for sorted sequences, the
 constant-spectrum (tight) and unit-norm reformulations, and the
@@ -106,16 +109,11 @@ class ReadinessReport:
     detail: str = ""
 
 
-def _prefix_sums(values: tuple[Fraction, ...]) -> list[Fraction]:
-    return list(accumulate(values, initial=ZERO))
-
-
-def _forced_cuts(spec: FrameSpec) -> list[int]:
-    norm_prefix = _prefix_sums(spec.norms_sq)
-    eig_prefix = _prefix_sums(spec.eigenvalues)
-    cuts = [bisect_right(norm_prefix, eig_prefix[k]) - 1 for k in range(1, spec.dim)]
-    cuts.append(spec.count)
-    return cuts
+def _require_trace(spec: FrameSpec) -> None:
+    if spec.trace_gap() != 0:
+        raise TraceMismatchError(
+            f"squared norms sum to {sum(spec.norms_sq)}, eigenvalues to {sum(spec.eigenvalues)}"
+        )
 
 
 def forced_partition(spec: FrameSpec) -> Partition:
@@ -124,58 +122,83 @@ def forced_partition(spec: FrameSpec) -> Partition:
     Requires the trace identity (raises TraceMismatchError otherwise);
     existence and uniqueness of each cut then follow from positivity.
     """
-    if spec.trace_gap() != 0:
-        raise TraceMismatchError(
-            f"squared norms sum to {sum(spec.norms_sq)}, eigenvalues to {sum(spec.eigenvalues)}"
-        )
-    return Partition(tuple(_forced_cuts(spec)))
+    _require_trace(spec)
+    norm_prefix = list(accumulate(spec.norms_sq, initial=ZERO))
+    cuts = [bisect_right(norm_prefix, level) - 1 for level in accumulate(spec.eigenvalues[:-1])]
+    cuts.append(spec.count)
+    return Partition(tuple(cuts))
+
+
+def _cursor(spec: FrameSpec):
+    """Walk the Spectral Tetris cursor over this exact ordering.
+
+    Each row takes singleton columns while they fit its residual mass; a
+    positive remainder is closed by a 2x2 block over this row and the
+    next.  Yields ``(row, col, None)`` for a singleton at (row, col) and
+    ``(row, col, x)`` for a block over rows row, row+1 and columns col,
+    col+1 whose first row squares to x.  Returns None once every column
+    is placed, else ``((k, condition), detail, (row, col))`` with k =
+    row + 1 and the 0-based cursor of the block that cannot be placed.
+
+    Requires the trace identity: it keeps a block out of the last row and
+    a positive residual from running out of columns.
+    """
+    eigenvalues, norms, count = spec.eigenvalues, spec.norms_sq, spec.count
+    col = 0
+    carry = ZERO  # second-row mass of the block that closed the previous row
+    for row, eigenvalue in enumerate(eigenvalues):
+        residual = eigenvalue - carry if carry else eigenvalue
+        while col < count and norms[col] <= residual:
+            yield row, col, None
+            residual -= norms[col]
+            col += 1
+        carry = ZERO
+        if residual == 0:
+            continue
+        k = row + 1
+        if col + 1 >= count:
+            detail = (
+                f"row {k} needs a block over columns {col + 1}, {col + 2} "
+                f"but only {count} columns exist"
+            )
+            return (k, Violation.GAP_II), detail, (row, col)
+        partner = norms[col + 1]
+        if partner < residual:
+            detail = f"column {col + 2} squared norm {partner} < deficit {residual}"
+            return (k, Violation.NORM_BOUND_II), detail, (row, col)
+        carry = norms[col] + partner - residual
+        if carry > eigenvalues[k]:
+            detail = (
+                f"the block over columns {col + 1}, {col + 2} puts mass {carry} "
+                f"into row {k + 1}, whose eigenvalue is {eigenvalues[k]}"
+            )
+            return (k, Violation.GAP_II), detail, (row, col)
+        yield row, col, residual
+        col += 2
+    return None
 
 
 def check_ready(spec: FrameSpec) -> ReadinessReport:
     """Decide whether the constructor succeeds on this exact ordering."""
-    gap = spec.trace_gap()
-    if gap != 0:
+    try:
+        partition = forced_partition(spec)
+    except TraceMismatchError:
         return ReadinessReport(
             ready=False,
             partition=None,
             violation=(0, Violation.TRACE_MISMATCH),
-            detail=f"squared norms exceed eigenvalues by {gap}",
+            detail=f"squared norms exceed eigenvalues by {spec.trace_gap()}",
         )
-    norm_prefix = _prefix_sums(spec.norms_sq)
-    eig_prefix = _prefix_sums(spec.eigenvalues)
-    cuts = _forced_cuts(spec)
-    partition = Partition(tuple(cuts))
-    m_count = spec.count
-    for k in range(1, spec.dim):
-        m_k = cuts[k - 1]
-        deficit = eig_prefix[k] - norm_prefix[m_k]
-        if deficit == 0:
-            continue
-        if m_k + 2 > m_count:
-            return ReadinessReport(
-                ready=False,
-                partition=partition,
-                violation=(k, Violation.GAP_II),
-                detail=f"row {k} needs a block over columns {m_k + 1}, {m_k + 2} "
-                f"but only {m_count} columns exist",
-            )
-        second = spec.norms_sq[m_k + 1]
-        if second < deficit:
-            return ReadinessReport(
-                ready=False,
-                partition=partition,
-                violation=(k, Violation.NORM_BOUND_II),
-                detail=f"column {m_k + 2} squared norm {second} < deficit {deficit}",
-            )
-        if cuts[k] < m_k + 2:
-            return ReadinessReport(
-                ready=False,
-                partition=partition,
-                violation=(k, Violation.GAP_II),
-                detail=f"cuts {m_k}, {cuts[k]} at rows {k}, {k + 1} leave no room "
-                f"for the block",
-            )
-    return ReadinessReport(ready=True, partition=partition, violation=None)
+    walk = _cursor(spec)
+    try:
+        while True:
+            next(walk)
+    except StopIteration as stop:
+        failure = stop.value
+    if failure is None:
+        return ReadinessReport(ready=True, partition=partition, violation=None)
+    violation, detail, _ = failure
+    return ReadinessReport(ready=False, partition=partition, violation=violation, detail=detail)
 
 
 def _require_sorted(values: tuple[Fraction, ...], *, increasing: bool, what: str) -> None:
@@ -247,19 +270,24 @@ def tight_ready(norms_sq, dim: int) -> ReadinessReport:
     return check_ready(FrameSpec(eigenvalues=(bound,) * dim, norms_sq=values))
 
 
-def unit_ready(eigenvalues, count: int) -> ReadinessReport:
-    """Readiness with all squared norms equal to 1.
-
-    Requires ``sum(eigenvalues) == count``.  With unit norms the block
-    norm bound is automatic (every deficit is < 1), so only the prefix
-    condition and the gap condition can fail.
-    """
+def _unit_spec(eigenvalues, count: int) -> FrameSpec:
+    """The spec with all squared norms 1; requires ``sum(eigenvalues) == count``."""
     values = _rational_tuple(eigenvalues)
     if sum(values, ZERO) != count:
         raise TraceMismatchError(
             f"eigenvalues sum to {sum(values)} but {count} unit vectors were requested"
         )
-    return check_ready(FrameSpec(eigenvalues=values, norms_sq=(Fraction(1),) * count))
+    return FrameSpec(eigenvalues=values, norms_sq=(Fraction(1),) * count)
+
+
+def unit_ready(eigenvalues, count: int) -> ReadinessReport:
+    """Readiness with all squared norms equal to 1.
+
+    Requires ``sum(eigenvalues) == count``.  With unit norms the block
+    norm bound is automatic (every deficit is < 1), so only the gap
+    condition can fail.
+    """
+    return check_ready(_unit_spec(eigenvalues, count))
 
 
 def majorizes(eigenvalues, norms_sq) -> bool:

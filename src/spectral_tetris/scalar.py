@@ -138,7 +138,12 @@ def to_float(a: RadicalScalar) -> float:
     """
     if a.sign == 0:
         return 0.0
-    return a.sign * math.sqrt(float(a.radicand))
+    q = a.radicand
+    try:
+        return a.sign * math.sqrt(float(q))
+    except OverflowError:  # q is beyond the double range, its root may not be
+        half = (q.numerator.bit_length() - q.denominator.bit_length()) // 2
+        return a.sign * math.ldexp(math.sqrt(float(q / (1 << 2 * half))), half)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from spectral_tetris import (
     NotSortedError,
     OutOfRangeError,
     TraceMismatchError,
+    Violation,
     equal_norm_frame,
     k_inequality_scan,
     pnstc,
@@ -60,6 +61,13 @@ def test_construction_fails_safely_without_precheck():
     with pytest.raises(ConstructionStuckError) as err:
         pnstc(FrameSpec(eigenvalues=(5, 2), norms_sq=(3, 3, 1)))
     assert err.value.reason == "block-infeasible"
+    assert err.value.violation == (1, Violation.NORM_BOUND_II)
+    assert (err.value.row, err.value.col) == (0, 1)
+    # row 1 closes with deficit 1/3; its block over columns 2, 3 puts 23/3 into row 2
+    with pytest.raises(ConstructionStuckError) as err:
+        pnstc(FrameSpec(eigenvalues=(F(13, 3),) * 3, norms_sq=(4, 4, 4, 1)))
+    assert err.value.reason == "gap-ii"
+    assert err.value.violation == (1, Violation.GAP_II)
     assert (err.value.row, err.value.col) == (0, 1)
     with pytest.raises(TraceMismatchError):
         pnstc(FrameSpec(eigenvalues=(5, 2), norms_sq=(3, 3)))

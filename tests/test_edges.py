@@ -51,7 +51,7 @@ def test_csv_loader_rejects_bad_shapes(tmp_path):
         formats.load_float_csv(str(empty))
 
 
-def test_cli_skip_check_still_fails_safely(tmp_path, capsys):
+def test_cli_construct_on_an_unready_spec_writes_nothing(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(
         json.dumps(
@@ -59,9 +59,11 @@ def test_cli_skip_check_still_fails_safely(tmp_path, capsys):
         ),
         encoding="utf-8",
     )
-    code = main(["construct", str(spec_path), str(tmp_path / "out.json"), "--skip-check"])
+    out = tmp_path / "out.json"
+    code = main(["construct", str(spec_path), str(out)])
     assert code == 2
-    assert "construction stuck" in capsys.readouterr().err
+    assert "not ready: violation at k=1: norm-bound-ii" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_equal_norm_override(tmp_path, capsys):
@@ -119,3 +121,78 @@ def test_cli_unreadable_spec_is_a_usage_error(tmp_path, capsys):
     broken.write_text("{", encoding="utf-8")
     assert main(["check", str(broken)]) == 1
     capsys.readouterr()
+
+
+def _entry(row, col, num=1):
+    return {"row": row, "col": col, "sign": 1, "rad": {"num": num, "den": 1}}
+
+
+_GOOD_MATRIX = {"dim": 2, "count": 2, "entries": [_entry(0, 0), _entry(1, 1)]}
+
+
+# file name -> (contents, a phrase the one-line error must contain)
+_MALFORMED_MATRIX_FILES = {
+    "row-out-of-range.json": (
+        json.dumps({**_GOOD_MATRIX, "entries": [_entry(5, 0)]}),
+        "outside the 2x2 matrix",
+    ),
+    "negative-index.json": (
+        json.dumps({**_GOOD_MATRIX, "entries": [_entry(0, 0), _entry(-1, -1)]}),
+        "outside the 2x2 matrix",
+    ),
+    "duplicate-cell.json": (
+        json.dumps({**_GOOD_MATRIX, "entries": [_entry(0, 0), _entry(1, 1), _entry(1, 1, 4)]}),
+        "appears twice",
+    ),
+    "top-level-list.json": (json.dumps([_GOOD_MATRIX]), "'dim', 'count' and 'entries'"),
+    "no-entries.json": (json.dumps({"dim": 2, "count": 2}), "'dim', 'count' and 'entries'"),
+    "zero-dim.json": (json.dumps({"dim": 0, "count": 2, "entries": []}), "must be positive"),
+    "zero-count.json": (json.dumps({"dim": 2, "count": 0, "entries": []}), "must be positive"),
+    "entry-not-an-object.json": (
+        json.dumps({**_GOOD_MATRIX, "entries": [3]}),
+        "malformed matrix file",
+    ),
+    "zero-denominator.json": (
+        json.dumps({**_GOOD_MATRIX, "entries": [{**_entry(0, 0), "rad": {"num": 1, "den": 0}}]}),
+        "malformed matrix file",
+    ),
+    "infinite.csv": ("1,0\n0,inf\n", "must be finite"),
+    "not-a-number.csv": ("1,nan\n0,1\n", "must be finite"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED_MATRIX_FILES))
+def test_cli_malformed_matrix_file_is_a_one_line_usage_error(tmp_path, capsys, name):
+    text, phrase = _MALFORMED_MATRIX_FILES[name]
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    assert main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert phrase in captured.err
+
+
+def test_cli_usage_errors_exit_one(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(
+        json.dumps({"dim": 1, "eigenvalues": ["1"], "norms_squared": ["1"]}), encoding="utf-8"
+    )
+    out = tmp_path / "out.json"
+    assert main([]) == 1
+    assert main(["construct"]) == 1
+    assert main(["construct", str(spec_path), str(out), "--skip-check"]) == 1
+    assert not out.exists()
+    assert main(["verify", str(out), "--mode", "approximate"]) == 1
+    assert main(["--help"]) == 0
+    assert main(["construct", str(spec_path), str(out)]) == 0
+    capsys.readouterr()
+
+
+def test_cli_float_mode_beyond_the_double_range_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({**_GOOD_MATRIX, "entries": [_entry(0, 0, 10**700), _entry(1, 1)]}))
+    assert main(["verify", str(path)]) == 0
+    assert main(["verify", str(path), "--mode", "float"]) == 1
+    assert capsys.readouterr().err.count("error: ") == 1

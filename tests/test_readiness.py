@@ -195,9 +195,10 @@ def test_stuck_row_matches_reported_violation():
         report = check_ready(spec)
         if report.ready or report.violation[1] is Violation.TRACE_MISMATCH:
             continue
-        k, _ = report.violation
         with pytest.raises(ConstructionStuckError) as err:
             pnstc(spec)
-        # the cursor strands on row k or while opening row k+1 (0-based)
-        assert err.value.row in (k - 1, k)
+        # the constructor stops on the very violation the check reports
+        assert err.value.violation == report.violation
+        assert str(err.value) == report.detail
+        assert err.value.row == report.violation[0] - 1
         seen += 1

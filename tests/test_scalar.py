@@ -70,6 +70,11 @@ def test_to_float_examples():
     assert to_float(RadicalScalar(1, F(2))) == 1.4142135623730951
     assert to_float(RadicalScalar(-1, F(3, 4))) == -0.8660254037844386
     assert to_float(RadicalScalar.zero()) == 0.0
+    # radicands beyond the double range whose roots are not
+    assert to_float(RadicalScalar(-1, F(1e308) ** 2)) == -1e308
+    assert to_float(RadicalScalar(1, F(4) ** 600 / 9)) == 2.0**600 / 3
+    with pytest.raises(OverflowError):
+        to_float(RadicalScalar(1, F(10) ** 700))
 
 
 def test_canonicalize_examples():
