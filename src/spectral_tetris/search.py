@@ -14,12 +14,26 @@ Three cheap heuristic orderings are tried before the exhaustive walk:
 norms decreasing with eigenvalues increasing, both decreasing, and both
 increasing.  The walk itself is budgeted by node count (deterministic,
 unlike wall time).
+
+Many prefixes reach the same state: the same values placed in another
+order.  A state is fixed by the remaining multiplicities of each norm
+and eigenvalue alone.  The two sums are equal, so the remaining norm
+mass minus the remaining eigenvalue mass is the residual of the open
+row (positive) or minus the carry into the next row (zero or negative).
+The subtree below a state depends on nothing else, so a state whose
+subtree was walked to the end with no completion is dead wherever it is
+reached again.  The walk keeps these dead states in a set that lives for
+one call and skips them.  Completions, duplicates included, are what
+tell a dead subtree from a live one.  A walk stopped by the budget or the
+result limit adds nothing.  A skipped subtree holds no completion, so the
+walk meets the same completions in the same order as without the set.
+Only the node count drops.  The node is charged before the lookup, so
+counts stay deterministic.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .readiness import FrameSpec, check_ready
@@ -60,102 +74,122 @@ class SearchResult:
 
     ``exhausted`` is True only when every distinct ordering pair was
     decided; ``budget_exhausted`` marks a walk stopped by the node budget
-    (the orderings found so far are still returned).
+    (the orderings found so far are still returned).  ``memo_hits``
+    counts the states the walk skipped as known dead.
     """
 
     orderings: tuple[OrderingPair, ...]
     exhausted: bool
     budget_exhausted: bool = False
     nodes_used: int = 0
+    memo_hits: int = 0
 
 
 class _StopSearch(Exception):
     pass
 
 
-@dataclass
 class _Walk:
-    norms: Counter
-    eigs: Counter
-    budget: int
-    max_results: int
-    found: set[OrderingPair] = field(default_factory=set)
-    nodes: int = 0
-    budget_hit: bool = False
+    """State of one exhaustive walk.
 
-    def charge(self) -> None:
+    The distinct norm and eigenvalue values are sorted once, decreasing,
+    and ``norm_counts`` / ``eig_counts`` hold how many of each remain.
+    ``dead`` holds the remaining counts of states whose subtree was walked
+    to the end with no completion.
+    """
+
+    def __init__(self, req: SearchRequest):
+        self.norm_values = sorted(set(req.norms_sq), reverse=True)
+        self.eig_values = sorted(set(req.eigenvalues), reverse=True)
+        self.norm_counts = [req.norms_sq.count(v) for v in self.norm_values]
+        self.eig_counts = [req.eigenvalues.count(v) for v in self.eig_values]
+        self.budget = req.budget
+        self.max_results = req.max_results
+        self.found: set[OrderingPair] = set()
+        self.dead: set[tuple[int, ...]] = set()
+        self.nodes = 0
+        self.completions = 0  # record() calls, duplicates included
+        self.memo_hits = 0
+        self.budget_hit = False
+
+    def visit(self, step, mass: Fraction, norm_seq: list, eig_seq: list) -> None:
+        """Charge one node, then walk ``step``'s subtree unless it is dead.
+
+        A skipped state is charged too, so ``budget=1`` stops at once.
+        """
         self.nodes += 1
         if self.nodes > self.budget:
             self.budget_hit = True
             raise _StopSearch
+        key = (*self.norm_counts, *self.eig_counts)
+        if key in self.dead:
+            self.memo_hits += 1
+            return
+        before = self.completions
+        step(mass, norm_seq, eig_seq)
+        if self.completions == before:
+            self.dead.add(key)
 
     def record(self, norm_seq: list[Fraction], eig_seq: list[Fraction]) -> None:
+        self.completions += 1
         self.found.add((tuple(norm_seq), tuple(eig_seq)))
         if len(self.found) >= self.max_results:
             raise _StopSearch
 
     def next_row(self, carry: Fraction, norm_seq: list, eig_seq: list) -> None:
-        self.charge()
-        if not self.eigs:
-            if carry == 0 and not self.norms:
+        counts = self.eig_counts
+        if not any(counts):
+            if carry == 0 and not any(self.norm_counts):
                 self.record(norm_seq, eig_seq)
             return
-        for value in sorted(self.eigs, reverse=True):
+        for index, value in enumerate(self.eig_values):
             residual = value - carry
             if residual < 0:
+                break
+            if not counts[index]:
                 continue
-            self._take(self.eigs, value)
+            counts[index] -= 1
             eig_seq.append(value)
             if residual == 0:
-                self.next_row(ZERO, norm_seq, eig_seq)
+                self.visit(self.next_row, ZERO, norm_seq, eig_seq)
             else:
-                self.fill_row(residual, norm_seq, eig_seq)
+                self.visit(self.fill_row, residual, norm_seq, eig_seq)
             eig_seq.pop()
-            self._put(self.eigs, value)
+            counts[index] += 1
 
     def fill_row(self, residual: Fraction, norm_seq: list, eig_seq: list) -> None:
-        self.charge()
-        distinct = sorted(self.norms, reverse=True)
-        for value in distinct:
+        counts, values = self.norm_counts, self.norm_values
+        next_row_exists = any(self.eig_counts)
+        for index, value in enumerate(values):
+            if not counts[index]:
+                continue
             if value <= residual:
-                self._take(self.norms, value)
+                counts[index] -= 1
                 norm_seq.append(value)
                 remaining = residual - value
                 if remaining == 0:
-                    self.next_row(ZERO, norm_seq, eig_seq)
+                    self.visit(self.next_row, ZERO, norm_seq, eig_seq)
                 else:
-                    self.fill_row(remaining, norm_seq, eig_seq)
+                    self.visit(self.fill_row, remaining, norm_seq, eig_seq)
                 norm_seq.pop()
-                self._put(self.norms, value)
-            else:
+                counts[index] += 1
+            elif next_row_exists:
                 # block: partner must carry at least the residual, and a
                 # next eigenvalue must exist to absorb the second row
-                if not self.eigs:
-                    continue
-                self._take(self.norms, value)
+                counts[index] -= 1
                 norm_seq.append(value)
-                for partner in sorted(self.norms, reverse=True):
+                for slot, partner in enumerate(values):
                     if partner < residual:
                         break
-                    self._take(self.norms, partner)
+                    if not counts[slot]:
+                        continue
+                    counts[slot] -= 1
                     norm_seq.append(partner)
-                    self.next_row(value + partner - residual, norm_seq, eig_seq)
+                    self.visit(self.next_row, value + partner - residual, norm_seq, eig_seq)
                     norm_seq.pop()
-                    self._put(self.norms, partner)
+                    counts[slot] += 1
                 norm_seq.pop()
-                self._put(self.norms, value)
-
-    @staticmethod
-    def _take(counter: Counter, value) -> None:
-        count = counter[value]
-        if count == 1:
-            del counter[value]
-        else:
-            counter[value] = count - 1
-
-    @staticmethod
-    def _put(counter: Counter, value) -> None:
-        counter[value] += 1
+                counts[index] += 1
 
 
 def _heuristic_pairs(req: SearchRequest) -> list[OrderingPair]:
@@ -179,12 +213,7 @@ def _heuristic_pairs(req: SearchRequest) -> list[OrderingPair]:
 
 def find_ready_orderings(req: SearchRequest) -> SearchResult:
     """Enumerate ready ordering pairs, heuristics first, then exhaustively."""
-    walk = _Walk(
-        norms=Counter(req.norms_sq),
-        eigs=Counter(req.eigenvalues),
-        budget=req.budget,
-        max_results=req.max_results,
-    )
+    walk = _Walk(req)
     stopped_early = False
     for norms, eigs in _heuristic_pairs(req):
         if check_ready(FrameSpec(eigenvalues=eigs, norms_sq=norms)).ready:
@@ -194,7 +223,7 @@ def find_ready_orderings(req: SearchRequest) -> SearchResult:
                 break
     if not stopped_early:
         try:
-            walk.next_row(ZERO, [], [])
+            walk.visit(walk.next_row, ZERO, [], [])
         except _StopSearch:
             stopped_early = True
     ordered = tuple(sorted(walk.found, key=lambda pair: (pair[1], pair[0])))
@@ -203,6 +232,7 @@ def find_ready_orderings(req: SearchRequest) -> SearchResult:
         exhausted=not stopped_early and not walk.budget_hit,
         budget_exhausted=walk.budget_hit,
         nodes_used=walk.nodes,
+        memo_hits=walk.memo_hits,
     )
 
 

@@ -62,15 +62,21 @@ def sparsity(matrix: SynthesisMatrix) -> tuple[int, int]:
 
 
 def _square_sums(matrix: SynthesisMatrix) -> tuple[list[Fraction], list[Fraction]]:
-    """Exact row and column square sums; raises ZeroRowError on a zero row."""
+    """Exact row and column square sums; raises ZeroRowError on a zero row.
+
+    A row is zero iff it carries no nonzero entry.  That is tested before
+    any list of length ``dim`` is allocated, so a matrix file cannot ask
+    for memory by its ``dim`` alone.
+    """
+    carried = {r for (r, _), value in matrix.entries.items() if not value.is_zero()}
+    if len(carried) < matrix.dim:
+        index = next(r for r in range(matrix.dim) if r not in carried)
+        raise ZeroRowError(f"row {index} is zero; the lower frame bound fails")
     rows = [ZERO] * matrix.dim
     cols = [ZERO] * matrix.count
     for (r, c), value in matrix.entries.items():
         rows[r] += value.square()
         cols[c] += value.square()
-    for index, total in enumerate(rows):
-        if total == 0:
-            raise ZeroRowError(f"row {index} is zero; the lower frame bound fails")
     return rows, cols
 
 
@@ -133,10 +139,20 @@ def _rows_orthogonal_exact(columns: list[Column]) -> bool:
 def _rows_orthogonal_float(matrix: SynthesisMatrix, columns: list[Column], tol: float) -> bool:
     # Terms are added in ascending column order, the order of a dense row
     # dot product; the zero terms a dense product adds change no sum.
+    # Each row is scaled by the power of two that puts its largest entry
+    # in [0.5, 1), so no product or square overflows.  Scaling by a power
+    # of two is exact and the test is homogeneous in each row, so a
+    # verdict reached without overflow or underflow is bit-identical.
+    floats = [[(r, float(value)) for r, value in column] for column in columns]
+    largest = [0.0] * matrix.dim
+    for column in floats:
+        for r, x in column:
+            largest[r] = max(largest[r], abs(x))
+    shifts = [-math.frexp(x)[1] for x in largest]
     norms_sq = [0.0] * matrix.dim
     inner: dict[tuple[int, int], float] = {}
-    for column in columns:
-        values = [(r, float(value)) for r, value in column]
+    for column in floats:
+        values = [(r, math.ldexp(x, shifts[r])) for r, x in column]
         for a, (row_a, x) in enumerate(values):
             norms_sq[row_a] += x * x
             for row_b, y in values[a + 1 :]:

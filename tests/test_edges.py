@@ -1,8 +1,13 @@
 import json
+import resource
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import spectral_tetris
 from spectral_tetris import (
     FrameSpec,
     Partition,
@@ -196,3 +201,42 @@ def test_cli_float_mode_beyond_the_double_range_is_an_input_error(tmp_path, caps
     assert main(["verify", str(path)]) == 0
     assert main(["verify", str(path), "--mode", "float"]) == 1
     assert capsys.readouterr().err.count("error: ") == 1
+
+
+@pytest.mark.parametrize(
+    "text, orthogonal",
+    [
+        ("1e200,1e200\n1e200,1e200\n", False),
+        ("1,1\n1,1\n", False),
+        ("1e200,1e200\n1e200,-1e200\n", True),
+    ],
+)
+def test_cli_float_mode_near_the_double_range(tmp_path, capsys, text, orthogonal):
+    # cross products of entries near 1e200 overflow a double
+    path = tmp_path / "matrix.csv"
+    path.write_text(text, encoding="utf-8")
+    assert main(["verify", str(path)]) == (0 if orthogonal else 2)
+    assert json.loads(capsys.readouterr().out)["orthogonal"] is orthogonal
+
+
+def _limit_address_space():
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_cli_zero_row_is_found_before_allocating_by_the_header(tmp_path):
+    # A child process with 1 GiB of address space: one list of 10**9
+    # pointers would need 8 GB.
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({"dim": 10**9, "count": 10**9, "entries": []}), encoding="utf-8")
+    src = str(Path(spectral_tetris.__file__).parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "spectral_tetris.cli", "verify", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={"PYTHONPATH": src},
+        preexec_fn=_limit_address_space,
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == "not a frame: row 0 is zero; the lower frame bound fails\n"

@@ -142,3 +142,45 @@ def test_search_agrees_with_brute_force_on_unconstructible_multisets():
         assert set(result.orderings) == oracle
         seen_empty += not oracle
     assert seen_empty > 0  # the population includes unconstructible multisets
+
+
+def test_search_agrees_with_brute_force_on_multisets_with_repeats():
+    # Few distinct values, so many prefixes reach the same remaining state.
+    rng = random.Random(2718)
+    memo_hits = 0
+    for _ in range(30):
+        norms = tuple(F(rng.choice((1, 2, 2, 3, 3))) for _ in range(rng.randint(4, 6)))
+        weights = [rng.choice((1, 1, 2)) for _ in range(rng.randint(2, 3))]
+        eigenvalues = tuple(sum(norms) * w / sum(weights) for w in weights)
+        result = find_ready_orderings(
+            SearchRequest(norms_sq=norms, eigenvalues=eigenvalues, max_results=10_000)
+        )
+        assert result.exhausted
+        assert set(result.orderings) == _brute_force_pairs(norms, eigenvalues)
+        memo_hits += result.memo_hits
+    assert memo_hits > 0
+
+
+def test_a_result_limit_returns_a_subset_of_the_full_result():
+    norms, eigenvalues = (7, 7, 6, 1, 1, 3, 3), (F(28, 3),) * 3
+    full = find_ready_orderings(
+        SearchRequest(norms_sq=norms, eigenvalues=eigenvalues, max_results=10_000)
+    )
+    assert full.exhausted and len(full.orderings) > 8
+    for limit in (1, 2, 5, 8, len(full.orderings), len(full.orderings) + 1):
+        result = find_ready_orderings(
+            SearchRequest(norms_sq=norms, eigenvalues=eigenvalues, max_results=limit)
+        )
+        assert set(result.orderings) <= set(full.orderings)
+        assert len(result.orderings) == min(limit, len(full.orderings))
+
+
+def test_largest_catalog_infeasible_walk():
+    # The search-orderings catalog's largest infeasible walk: 36,666 nodes
+    # without the dead-state memo.
+    request = SearchRequest(norms_sq=(26, 20, 13, 12, 7, 4, 3, 3), eigenvalues=(24, 24, 22, 18))
+    result = find_ready_orderings(request)
+    assert result.orderings == ()
+    assert result.exhausted and not result.budget_exhausted
+    assert result.nodes_used == 2025
+    assert result == find_ready_orderings(request)
