@@ -19,9 +19,11 @@ equal-norm vectors.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import itemgetter
 
 from .blocks import BlockSpec, build_block
 from .errors import (
@@ -55,29 +57,51 @@ class BlockRecord:
     cols: tuple[int, int]
 
 
-@dataclass(frozen=True, eq=True)
+Entry = tuple[int, int, RadicalScalar]  # (row, col, value)
+
+_column_major = itemgetter(1, 0)
+
+
+@dataclass(frozen=True)
 class SynthesisMatrix:
     """Sparse N x M matrix of radical entries plus its construction log.
 
-    Value object: the entry map is never mutated after construction, so
-    instances are safe to share across threads.
+    Value object: ``entries`` is a tuple of ``(row, col, value)`` sorted
+    by (col, row), the export order, with no zero values; instances are
+    hashable and compare by value.  The constructor accepts entries in
+    any order and raises ValueError on a dimension below 1, a cell
+    outside the matrix or a cell given twice (zero values included).
     """
 
     dim: int
     count: int
-    entries: dict[tuple[int, int], RadicalScalar]
+    entries: tuple[Entry, ...]
     block_log: tuple[BlockRecord, ...]
 
-    def entry(self, row: int, col: int) -> RadicalScalar:
-        return self.entries.get((row, col), RadicalScalar.zero())
+    def __post_init__(self):
+        dim, count = self.dim, self.count
+        if dim < 1 or count < 1:
+            raise ValueError(f"matrix dimensions must be positive, got {dim}x{count}")
+        ordered = sorted(self.entries, key=_column_major)
+        previous = None
+        for row, col, _ in ordered:
+            if not (0 <= row < dim and 0 <= col < count):
+                raise ValueError(f"entry {(row, col)} lies outside the {dim}x{count} matrix")
+            if (row, col) == previous:
+                raise ValueError(f"entry {(row, col)} appears twice")
+            previous = (row, col)
+        kept = tuple(entry for entry in ordered if not entry[2].is_zero())
+        object.__setattr__(self, "entries", kept)
 
-    def nonzero_items(self) -> list[tuple[tuple[int, int], RadicalScalar]]:
-        """Entries sorted by (col, row), the canonical export order."""
-        return sorted(self.entries.items(), key=lambda kv: (kv[0][1], kv[0][0]))
+    def entry(self, row: int, col: int) -> RadicalScalar:
+        i = bisect_left(self.entries, (col, row), key=_column_major)
+        if i < len(self.entries) and _column_major(self.entries[i]) == (col, row):
+            return self.entries[i][2]
+        return RadicalScalar.zero()
 
     def to_float_rows(self) -> list[list[float]]:
         dense = [[0.0] * self.count for _ in range(self.dim)]
-        for (r, c), value in self.entries.items():
+        for r, c, value in self.entries:
             dense[r][c] = float(value)
         return dense
 
@@ -89,7 +113,7 @@ class SynthesisMatrix:
         return SynthesisMatrix(
             dim=self.dim,
             count=self.count,
-            entries={key: value * scale for key, value in self.entries.items()},
+            entries=tuple((r, c, value * scale) for r, c, value in self.entries),
             block_log=self.block_log,
         )
 
@@ -119,7 +143,7 @@ def pnstc(spec: FrameSpec) -> SynthesisMatrix:
     """
     _require_trace(spec)
     norms = spec.norms_sq
-    entries: dict[tuple[int, int], RadicalScalar] = {}
+    entries: list[Entry] = []
     log: list[BlockRecord] = []
     walk = _cursor(spec)
     while True:
@@ -129,15 +153,13 @@ def pnstc(spec: FrameSpec) -> SynthesisMatrix:
             failure = stop.value
             break
         if x is None:
-            entries[(row, col)] = RadicalScalar.sqrt(norms[col])
+            entries.append((row, col, RadicalScalar.sqrt(norms[col])))
             log.append(BlockRecord(BlockKind.SINGLETON, (row, row), (col, col)))
             continue
         block = build_block(BlockSpec(x=x, a1_sq=norms[col], a2_sq=norms[col + 1]))
-        for dr in (0, 1):
-            for dc in (0, 1):
-                cell = block.entries[dr][dc]
-                if not cell.is_zero():
-                    entries[(row + dr, col + dc)] = cell
+        for dc in (0, 1):
+            for dr in (0, 1):
+                entries.append((row + dr, col + dc, block.entries[dr][dc]))
         kind = BlockKind.DEGENERATE_BLOCK if block.degenerate else BlockKind.BLOCK_2X2
         log.append(BlockRecord(kind, (row, row + 1), (col, col + 1)))
     if failure is not None:

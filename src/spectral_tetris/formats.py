@@ -144,7 +144,7 @@ def matrix_to_payload(
         "count": matrix.count,
         "entries": [
             {"row": r, "col": c, **radical_to_json(value)}
-            for (r, c), value in matrix.nonzero_items()
+            for r, c, value in matrix.entries
         ],
         "metadata": metadata,
     }
@@ -162,37 +162,27 @@ def dump_matrix_file(
 def matrix_from_payload(payload: dict) -> SynthesisMatrix:
     """Build a matrix from a parsed matrix file.
 
-    Raises ValueError unless the payload is an object with ``dim`` and
-    ``count`` (both at least 1) and ``entries``, every entry lies inside
-    the matrix and no cell appears twice.
+    Raises ValueError unless the payload is an object with ``dim``,
+    ``count`` and ``entries``; :class:`SynthesisMatrix` checks the cells.
     """
     if not isinstance(payload, dict) or not {"dim", "count", "entries"} <= payload.keys():
         raise ValueError("a matrix file is an object with 'dim', 'count' and 'entries'")
-    dim, count = int(payload["dim"]), int(payload["count"])
-    if dim < 1 or count < 1:
-        raise ValueError(f"matrix dimensions must be positive, got {dim}x{count}")
-    cells = set()
-    entries = {}
-    for item in payload["entries"]:
-        cell = (int(item["row"]), int(item["col"]))
-        if not (0 <= cell[0] < dim and 0 <= cell[1] < count):
-            raise ValueError(f"entry {cell} lies outside the {dim}x{count} matrix")
-        if cell in cells:
-            raise ValueError(f"entry {cell} appears twice")
-        cells.add(cell)
-        value = radical_from_json(item)
-        if not value.is_zero():
-            entries[cell] = value
+    entries = [
+        (int(item["row"]), int(item["col"]), radical_from_json(item))
+        for item in payload["entries"]
+    ]
     log = []
     for record in payload.get("metadata", {}).get("blockLog", []):
         log.append(
             BlockRecord(
                 kind=BlockKind(record["kind"]),
-                rows=tuple(record["rowSpan"]),
-                cols=tuple(record["colSpan"]),
+                rows=tuple(map(int, record["rowSpan"])),
+                cols=tuple(map(int, record["colSpan"])),
             )
         )
-    return SynthesisMatrix(dim=dim, count=count, entries=entries, block_log=tuple(log))
+    return SynthesisMatrix(
+        dim=int(payload["dim"]), count=int(payload["count"]), entries=entries, block_log=tuple(log)
+    )
 
 
 def load_matrix_file(path: str) -> SynthesisMatrix:
@@ -236,10 +226,10 @@ def load_float_csv(path: str) -> SynthesisMatrix:
         raise ValueError("ragged CSV matrix")
     if not all(math.isfinite(value) for row in rows for value in row):
         raise ValueError("CSV matrix values must be finite")
-    entries = {}
-    for r, row in enumerate(rows):
-        for c, value in enumerate(row):
-            if value != 0.0:
-                sign = 1 if value > 0 else -1
-                entries[(r, c)] = RadicalScalar(sign, Fraction(value) ** 2)
+    entries = [
+        (r, c, RadicalScalar(1 if value > 0 else -1, Fraction(value) ** 2))
+        for c, column in enumerate(zip(*rows))
+        for r, value in enumerate(column)
+        if value != 0.0
+    ]
     return SynthesisMatrix(dim=len(rows), count=width, entries=entries, block_log=())

@@ -24,9 +24,6 @@ from fractions import Fraction
 
 from .errors import FactorizationIncompleteError
 
-# The exact base scalar used throughout the package.
-Rational = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -134,16 +131,18 @@ def to_float(a: RadicalScalar) -> float:
     """Nearest double to sign * sqrt(radicand).
 
     ``float(Fraction)`` is correctly rounded and ``math.sqrt`` is an IEEE
-    correctly-rounded sqrt, so the composition is within 4 ulp.
+    correctly-rounded sqrt, so the composition is within 4 ulp.  A
+    radicand beyond the normal double range (it would overflow, or lose
+    bits to underflow) while its root may not be is scaled by a power of
+    4 first; inside the range that scaling is exact, so nothing changes.
     """
     if a.sign == 0:
         return 0.0
     q = a.radicand
-    try:
+    half = (q.numerator.bit_length() - q.denominator.bit_length()) // 2
+    if abs(half) < 500:  # 2**-1002 < q < 2**1001
         return a.sign * math.sqrt(float(q))
-    except OverflowError:  # q is beyond the double range, its root may not be
-        half = (q.numerator.bit_length() - q.denominator.bit_length()) // 2
-        return a.sign * math.ldexp(math.sqrt(float(q / (1 << 2 * half))), half)
+    return a.sign * math.ldexp(math.sqrt(float(q / Fraction(4) ** half)), half)
 
 
 @dataclass(frozen=True)

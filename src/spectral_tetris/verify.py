@@ -2,9 +2,9 @@
 
 Row and column squared sums are always exact (sums of radicands).  Two
 rows can have a nonzero inner product only through the columns they
-share, so orthogonality indexes the entries by column once and looks
-only at row pairs that meet in some column: O(sum of nnz_c^2) cross
-terms instead of O(N^2) row pairs.
+share, so orthogonality walks the column runs of the entries (stored
+sorted by column) and looks only at row pairs that meet in some column:
+O(sum of nnz_c^2) cross terms instead of O(N^2) row pairs.
 
 Exact mode decides each pair's sum of signed radicals without
 factoring.  Square roots of positive rationals from distinct square
@@ -14,8 +14,7 @@ sqrt(a), sqrt(b) share a class iff a/b is a rational square, which
 zero iff each class's coefficients cancel.  Float mode accumulates the
 same cross terms as doubles, in ascending column order, and compares
 each normalized inner product against a tolerance.  Frame bounds come
-from the row sums when the frame operator is verified diagonal, and from
-a dense symmetric eigensolver otherwise.
+from the row sums once the frame operator is verified diagonal.
 """
 
 from __future__ import annotations
@@ -23,8 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 
-from .construct import SynthesisMatrix
+from .construct import Entry, SynthesisMatrix
 from .errors import ZeroRowError
 from .readiness import FrameSpec
 from .scalar import ZERO, RadicalScalar
@@ -32,7 +33,7 @@ from .scalar import canonicalize  # noqa: F401  (bench/tracing.py wraps verify.c
 
 DEFAULT_FLOAT_TOL = 1e-10
 
-Column = list[tuple[int, RadicalScalar]]  # (row, value) of each nonzero
+Column = list[Entry]  # the nonzero entries of one column, by row
 
 
 @dataclass(frozen=True)
@@ -55,10 +56,7 @@ class VerificationReport:
 
 def sparsity(matrix: SynthesisMatrix) -> tuple[int, int]:
     """(number of nonzero entries, maximum nonzeros in any column)."""
-    per_column = [0] * matrix.count
-    for (_, col) in matrix.entries:
-        per_column[col] += 1
-    return len(matrix.entries), max(per_column, default=0)
+    return len(matrix.entries), max(map(len, _columns(matrix)), default=0)
 
 
 def _square_sums(matrix: SynthesisMatrix) -> tuple[list[Fraction], list[Fraction]]:
@@ -68,23 +66,21 @@ def _square_sums(matrix: SynthesisMatrix) -> tuple[list[Fraction], list[Fraction
     any list of length ``dim`` is allocated, so a matrix file cannot ask
     for memory by its ``dim`` alone.
     """
-    carried = {r for (r, _), value in matrix.entries.items() if not value.is_zero()}
+    carried = {r for r, _, _ in matrix.entries}
     if len(carried) < matrix.dim:
         index = next(r for r in range(matrix.dim) if r not in carried)
         raise ZeroRowError(f"row {index} is zero; the lower frame bound fails")
     rows = [ZERO] * matrix.dim
     cols = [ZERO] * matrix.count
-    for (r, c), value in matrix.entries.items():
+    for r, c, value in matrix.entries:
         rows[r] += value.square()
         cols[c] += value.square()
     return rows, cols
 
 
 def _columns(matrix: SynthesisMatrix) -> list[Column]:
-    columns: list[Column] = [[] for _ in range(matrix.count)]
-    for (r, c), value in matrix.entries.items():
-        columns[c].append((r, value))
-    return columns
+    """The runs of entries that share a column; empty columns have none."""
+    return [list(run) for _, run in groupby(matrix.entries, key=itemgetter(1))]
 
 
 def _rational_sqrt(q: Fraction) -> Fraction | None:
@@ -127,8 +123,8 @@ def _rows_orthogonal_exact(columns: list[Column]) -> bool:
     pairs: dict[tuple[int, int], dict[Fraction, int]] = {}
     for column in columns:
         for a in range(len(column)):
-            row_a, left = column[a]
-            for row_b, right in column[a + 1 :]:
+            row_a, _, left = column[a]
+            for row_b, _, right in column[a + 1 :]:
                 key = (row_a, row_b) if row_a < row_b else (row_b, row_a)
                 terms = pairs.setdefault(key, {})
                 radicand = left.radicand * right.radicand
@@ -143,7 +139,7 @@ def _rows_orthogonal_float(matrix: SynthesisMatrix, columns: list[Column], tol: 
     # in [0.5, 1), so no product or square overflows.  Scaling by a power
     # of two is exact and the test is homogeneous in each row, so a
     # verdict reached without overflow or underflow is bit-identical.
-    floats = [[(r, float(value)) for r, value in column] for column in columns]
+    floats = [[(r, float(value)) for r, _, value in column] for column in columns]
     largest = [0.0] * matrix.dim
     for column in floats:
         for r, x in column:
@@ -201,20 +197,3 @@ def verify_matrix(
         frame_bounds=(min(row_sums), max(row_sums)) if orthogonal else None,
         matches_spec=matches,
     )
-
-
-def frame_bounds_float(matrix: SynthesisMatrix) -> tuple[float, float]:
-    """Extreme eigenvalues of the frame operator as doubles.
-
-    Exact row sums when the rows verify orthogonal (diagonal operator);
-    otherwise a dense symmetric eigensolve at double precision (relative
-    tolerance about 1e-9).
-    """
-    row_sums, _ = _square_sums(matrix)
-    if _rows_orthogonal_exact(_columns(matrix)):
-        return float(min(row_sums)), float(max(row_sums))
-    import numpy as np
-
-    dense = np.array(matrix.to_float_rows(), dtype=float)
-    eigenvalues = np.linalg.eigvalsh(dense @ dense.T)
-    return float(eigenvalues[0]), float(eigenvalues[-1])

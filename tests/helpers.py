@@ -25,11 +25,11 @@ def cell(sign: int, radicand) -> tuple[int, Fraction]:
 
 def matrix_from_grid(rows) -> SynthesisMatrix:
     """Build a matrix from (sign, radicand) cells; no construction log."""
-    entries = {}
-    for r, row in enumerate(rows):
-        for c, (sign, radicand) in enumerate(row):
-            if sign != 0:
-                entries[(r, c)] = RadicalScalar(sign, Fraction(radicand))
+    entries = [
+        (r, c, RadicalScalar(sign, Fraction(radicand)))
+        for r, row in enumerate(rows)
+        for c, (sign, radicand) in enumerate(row)
+    ]
     return SynthesisMatrix(
         dim=len(rows), count=len(rows[0]), entries=entries, block_log=()
     )

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,8 @@ from spectral_tetris import (
     InvalidDimsError,
     NotSortedError,
     OutOfRangeError,
+    RadicalScalar,
+    SynthesisMatrix,
     TraceMismatchError,
     Violation,
     equal_norm_frame,
@@ -80,7 +83,7 @@ def test_block_log_covers_every_nonzero_entry():
         for r in range(record.rows[0], record.rows[1] + 1):
             for c in range(record.cols[0], record.cols[1] + 1):
                 covered.add((r, c))
-    assert set(matrix.entries) <= covered
+    assert {(r, c) for r, c, _ in matrix.entries} <= covered
 
 
 def test_stc_examples():
@@ -246,3 +249,44 @@ def test_small_eigenvalues_only_after_exact_completion():
                 assert (k - 1, k) not in block_rows
         checked += 1
     assert checked > 200
+
+
+def test_synthesis_matrix_is_a_hashable_value():
+    matrix = unit_tight(7, 4)
+    assert isinstance(matrix.entries, tuple)
+    assert [(c, r) for r, c, _ in matrix.entries] == sorted((c, r) for r, c, _ in matrix.entries)
+    shuffled = list(matrix.entries)
+    random.Random(5).shuffle(shuffled)
+    again = SynthesisMatrix(matrix.dim, matrix.count, tuple(shuffled), matrix.block_log)
+    assert again == matrix
+    assert hash(again) == hash(matrix)
+    with pytest.raises(AttributeError):
+        matrix.entries = ()
+
+
+def test_synthesis_matrix_drops_zeros_and_reads_cells():
+    one, zero = RadicalScalar(1, F(1)), RadicalScalar.zero()
+    matrix = SynthesisMatrix(2, 3, ((1, 2, one), (0, 1, zero), (0, 0, -one)), ())
+    assert matrix.entries == ((0, 0, -one), (1, 2, one))
+    assert matrix.entry(0, 0) == -one
+    assert matrix.entry(1, 2) == one
+    assert matrix.entry(0, 1) == zero
+    assert matrix.entry(1, 0) == zero
+
+
+@pytest.mark.parametrize(
+    "dim, count, cells, phrase",
+    [
+        (0, 2, (), "must be positive"),
+        (2, 0, (), "must be positive"),
+        (2, 2, ((2, 0, 1),), "entry (2, 0) lies outside the 2x2 matrix"),
+        (2, 2, ((0, -1, 1),), "entry (0, -1) lies outside the 2x2 matrix"),
+        (2, 2, ((1, 1, 1), (0, 0, 1), (1, 1, 4)), "entry (1, 1) appears twice"),
+        (2, 2, ((1, 1, 0), (1, 1, 4)), "entry (1, 1) appears twice"),
+        (2, 2, ((1, 1, 4), (1, 1, 0)), "entry (1, 1) appears twice"),
+    ],
+)
+def test_synthesis_matrix_rejects_bad_cells(dim, count, cells, phrase):
+    entries = tuple((r, c, RadicalScalar.sqrt(q)) for r, c, q in cells)
+    with pytest.raises(ValueError, match=re.escape(phrase)):
+        SynthesisMatrix(dim, count, entries, ())

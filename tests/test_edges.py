@@ -209,10 +209,13 @@ def test_cli_float_mode_beyond_the_double_range_is_an_input_error(tmp_path, caps
         ("1e200,1e200\n1e200,1e200\n", False),
         ("1,1\n1,1\n", False),
         ("1e200,1e200\n1e200,-1e200\n", True),
+        ("1e-200,1e-200\n1e-200,1e-200\n", False),
+        ("1e-200,1e-200\n1e-200,-1e-200\n", True),
     ],
 )
 def test_cli_float_mode_near_the_double_range(tmp_path, capsys, text, orthogonal):
-    # cross products of entries near 1e200 overflow a double
+    # cross products of entries near 1e200 overflow a double; the squares
+    # (radicands) of entries near 1e-200 underflow one
     path = tmp_path / "matrix.csv"
     path.write_text(text, encoding="utf-8")
     assert main(["verify", str(path)]) == (0 if orthogonal else 2)

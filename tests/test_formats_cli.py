@@ -64,6 +64,17 @@ def test_matrix_round_trip_is_bit_exact():
     assert before == after
 
 
+def test_loaded_matrix_is_a_hashable_value():
+    spec = FrameSpec(eigenvalues=(15, 4, 1, 4), norms_sq=(9, 4, 3, 3, 1, 4))
+    matrix = pnstc(spec)
+    payload = json.loads(formats.dump_matrix_file(matrix, spec))
+    loaded = formats.matrix_from_payload(payload)
+    assert loaded == matrix and hash(loaded) == hash(matrix)
+    payload["metadata"]["blockLog"][0]["rowSpan"] = [[0], 0]
+    with pytest.raises(ValueError, match="malformed matrix file"):
+        formats.matrix_from_payload(payload)
+
+
 def test_matrix_entries_are_sorted_by_column_then_row():
     spec = FrameSpec(eigenvalues=(2, 5), norms_sq=(3, 3, 1))
     payload = formats.matrix_to_payload(pnstc(spec))

@@ -1,3 +1,6 @@
+import math
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -75,6 +78,21 @@ def test_to_float_examples():
     assert to_float(RadicalScalar(1, F(4) ** 600 / 9)) == 2.0**600 / 3
     with pytest.raises(OverflowError):
         to_float(RadicalScalar(1, F(10) ** 700))
+    # radicands below the double range whose roots are not
+    assert to_float(RadicalScalar(1, F(1e-200) ** 2)) == 1e-200
+    assert to_float(RadicalScalar(-1, F(1, 9) / F(4) ** 600)) == -(2.0**-600) / 3
+    assert to_float(RadicalScalar(1, F(1, 10**700))) == 0.0
+
+
+def test_to_float_is_the_double_sqrt_on_normal_radicands():
+    # exponents up to the ends of the normal range, past the scaling cut-off
+    rng = random.Random(77)
+    for _ in range(2000):
+        mantissa = F(rng.randint(2**52, 2**53), rng.randint(2**52, 2**53))
+        q = mantissa * F(2) ** rng.randint(-1015, 1015)
+        assert sys.float_info.min <= float(q) <= sys.float_info.max
+        sign = rng.choice((-1, 1))
+        assert to_float(RadicalScalar(sign, q)) == sign * math.sqrt(float(q))
 
 
 def test_canonicalize_examples():

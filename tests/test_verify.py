@@ -8,7 +8,6 @@ from spectral_tetris import (
     RadicalScalar,
     ZeroRowError,
     canonicalize,
-    frame_bounds_float,
     pnstc,
     sparsity,
     stc,
@@ -41,18 +40,16 @@ def test_sparsity_examples():
 
 
 def test_frame_bounds_examples():
-    assert frame_bounds_float(pnstc(DEMO)) == (1.0, 15.0)
-    assert frame_bounds_float(unit_tight(3, 2)) == (1.5, 1.5)
+    assert verify_matrix(pnstc(DEMO)).frame_bounds == (1, 15)
+    assert verify_matrix(unit_tight(3, 2)).frame_bounds == (F(3, 2), F(3, 2))
     orthonormal = stc((1, 1, 1), 3)
-    assert frame_bounds_float(orthonormal) == (1.0, 1.0)
+    assert verify_matrix(orthonormal).frame_bounds == (1, 1)
 
 
 def test_zero_row_is_not_a_frame():
     matrix = matrix_from_grid([[cell(1, 1), cell(1, 1)], [cell(0, 0), cell(0, 0)]])
     with pytest.raises(ZeroRowError):
         verify_matrix(matrix)
-    with pytest.raises(ZeroRowError):
-        frame_bounds_float(matrix)
 
 
 def test_mismatch_is_reported():
@@ -67,10 +64,6 @@ def test_non_orthogonal_matrix_is_detected_in_both_modes():
     )
     assert not verify_matrix(matrix, mode="exact").orthogonal
     assert not verify_matrix(matrix, mode="float").orthogonal
-    low, high = frame_bounds_float(matrix)
-    # eigenvalues of [[2, 3], [3, 5]]: (7 +- sqrt(45)) / 2
-    assert low == pytest.approx((7 - 45**0.5) / 2, rel=1e-9)
-    assert high == pytest.approx((7 + 45**0.5) / 2, rel=1e-9)
 
 
 def test_orthogonality_across_distinct_radicands():
@@ -146,7 +139,7 @@ def _canonical_sum(products) -> dict[int, Fraction]:
 
 def _rows(matrix) -> list[dict[int, RadicalScalar]]:
     rows = [{} for _ in range(matrix.dim)]
-    for (r, c), value in matrix.entries.items():
+    for r, c, value in matrix.entries:
         rows[r][c] = value
     return rows
 
