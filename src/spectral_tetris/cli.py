@@ -50,12 +50,14 @@ def cmd_construct(args) -> int:
         k, condition = exc.violation
         print(f"not ready: violation at k={k}: {condition.value} ({exc})", file=sys.stderr)
         return EXIT_INFEASIBLE
-    text = formats.dump_matrix_file(matrix, spec, reproducible=args.reproducible)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+    # render every output before opening any, so a failed render (a CSV
+    # value beyond the double range) leaves no file behind
+    outputs = [(args.out, formats.dump_matrix_file(matrix, spec, reproducible=args.reproducible))]
     if args.float_csv:
-        with open(args.float_csv, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(formats.dump_float_csv(matrix))
+        outputs.append((args.float_csv, formats.dump_float_csv(matrix)))
+    for path, text in outputs:
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
     print(f"wrote {matrix.dim}x{matrix.count} matrix ({len(matrix.entries)} nonzeros) to {args.out}")
     return EXIT_OK
 

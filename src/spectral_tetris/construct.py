@@ -173,25 +173,52 @@ def stc(eigenvalues, count: int) -> SynthesisMatrix:
     return pnstc(_unit_spec(eigenvalues, count))
 
 
+def _first_multiple_in_range(a: int, m: int, lo: int, hi: int) -> int | None:
+    """Smallest x >= 0 with ``lo <= (a * x) % m <= hi``, or None.
+
+    Needs 0 <= lo <= hi < m.  Euclid-style: when no multiple of a lies in
+    [lo, hi], the answer x = ceil((lo + m*y) / a) comes from the smallest
+    y >= 0 with ``(m * y) % a`` in [-hi % a, -lo % a], the same problem
+    for (m mod a, a).  The frames are unwound in reverse; O(log m) steps.
+    """
+    frames = []
+    while True:
+        a %= m
+        if lo == 0:
+            x = 0
+            break
+        if a == 0:
+            return None
+        x = -(-lo // a)
+        if a * x <= hi:
+            break
+        frames.append((a, m, lo))
+        a, m, lo, hi = m, a, -hi % a, -lo % a
+    for a, m, lo in reversed(frames):
+        x = -(-(lo + m * x) // a)
+    return x
+
+
 def k_inequality_scan(count: int, dim: int) -> int | None:
     """Smallest k in 1..N-1 whose non-integer multiple of the redundancy
     violates ``floor(k*r) <= (k+1)*r - 2``, or None.
 
     Only defined for redundancy strictly between 1 and 2; None means the
-    unit-norm tight construction goes through.
+    unit-norm tight construction goes through.  With r = p/q in lowest
+    terms and s = p - q, row k fails iff ``(k*s) % q`` lies in
+    [1, q - s - 1]; that residue has period q <= N, so the first such k
+    is found in O(log q) steps instead of a scan over the rows.
     """
     if not dim < count < 2 * dim:
         raise OutOfRangeError(
             f"redundancy {count}/{dim} is outside the open interval (1, 2)"
         )
     redundancy = Fraction(count, dim)
-    for k in range(1, dim):
-        k_mass = k * redundancy
-        if k_mass.denominator == 1:
-            continue
-        if math.floor(k_mass) > (k + 1) * redundancy - 2:
-            return k
-    return None
+    q = redundancy.denominator
+    s = redundancy.numerator - q
+    if s == q - 1:  # r = (2q - 1)/q: the interval is empty
+        return None
+    return _first_multiple_in_range(s, q, 1, q - s - 1)
 
 
 def unit_tight_feasible(count: int, dim: int) -> UnitTightVerdict:
@@ -228,6 +255,13 @@ def unit_tight(count: int, dim: int) -> SynthesisMatrix:
     return stc((Fraction(count, dim),) * dim, count)
 
 
+#: Largest frame ``equal_norm_frame`` builds, in vectors (r^2).  The
+#: spread of the spectrum sets r, so the eigenvalues 10^12 and 1 would
+#: ask for about 3 * 10^12 vectors; 10^5 take a few seconds and a few
+#: hundred MB.
+MAX_EQUAL_NORM_VECTORS = 10**5
+
+
 def _min_integer_sqrt_at_least(bound: Fraction) -> int:
     """Smallest positive integer r with r*r >= bound."""
     if bound <= 1:
@@ -246,6 +280,8 @@ def equal_norm_frame(eigenvalues, r_override: int | None = None) -> tuple[int, S
     all entries back by sqrt(total)/r.  The minimal r also satisfies
     r^2 * (1 - lambda_1/total) >= 3; pass ``r_override`` to use a larger
     (or any) r instead -- construction fails safely if it is too small.
+    Raises ValueError, before building anything, when r^2 exceeds
+    ``MAX_EQUAL_NORM_VECTORS``.
     """
     values = _rational_tuple(eigenvalues)
     if any(v <= 0 for v in values):
@@ -264,6 +300,11 @@ def equal_norm_frame(eigenvalues, r_override: int | None = None) -> tuple[int, S
         r = r_override
     else:
         r = _min_integer_sqrt_at_least(max(2 * total / values[-1], 3 / epsilon))
+    if r * r > MAX_EQUAL_NORM_VECTORS:
+        raise ValueError(
+            f"the equal-norm frame needs r^2 vectors with r = {r}, "
+            f"more than the limit of {MAX_EQUAL_NORM_VECTORS}"
+        )
     scaled = tuple(Fraction(r * r) / total * v for v in values)
     unit_matrix = stc(scaled, r * r)
     return r, unit_matrix.scaled_by_sqrt(total / (r * r))

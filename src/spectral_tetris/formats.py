@@ -15,6 +15,9 @@ strings, squared then rounded to denominator <= 10^6 with a warning) or
 
 Matrix file: entries sorted by (col, row), no explicit zeros, each entry
 ``{"row": r, "col": c, "sign": s, "rad": {"num": p, "den": q}}``.
+``dump_matrix_file`` writes it directly, byte-identical to
+``canonical_json`` of the same payload; the indenting JSON encoder runs
+in pure Python and took most of the dump time.
 """
 
 from __future__ import annotations
@@ -61,20 +64,28 @@ def canonical_json(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def rational_to_json(value: Fraction) -> dict[str, int]:
-    return {"num": value.numerator, "den": value.denominator}
-
-
 def rational_from_json(payload: dict) -> Fraction:
     return Fraction(int(payload["num"]), int(payload["den"]))
 
 
-def radical_to_json(value: RadicalScalar) -> dict[str, Any]:
-    return {"sign": value.sign, "rad": rational_to_json(value.radicand)}
-
-
 def radical_from_json(payload: dict) -> RadicalScalar:
     return RadicalScalar(int(payload["sign"]), rational_from_json(payload["rad"]))
+
+
+def _parse_each(literals) -> tuple[Fraction, ...]:
+    """``parse_rational`` over a list, parsing each distinct literal once.
+
+    Literals are parsed in list order, so a bad one is reported where the
+    plain per-item loop would report it.
+    """
+    parsed: dict = {}
+    values = []
+    for text in literals:
+        value = parsed.get(text)
+        if value is None:
+            value = parsed[text] = parse_rational(text)
+        values.append(value)
+    return tuple(values)
 
 
 @_parsed_json("spec file")
@@ -83,7 +94,7 @@ def parse_spec_payload(payload: dict) -> tuple[FrameSpec, list[str]]:
     warnings: list[str] = []
     if "dim" not in payload or "eigenvalues" not in payload:
         raise ValueError("spec file needs 'dim' and 'eigenvalues'")
-    eigenvalues = tuple(parse_rational(str(v)) for v in payload["eigenvalues"])
+    eigenvalues = _parse_each(map(str, payload["eigenvalues"]))
     if int(payload["dim"]) != len(eigenvalues):
         raise ValueError(
             f"dim is {payload['dim']} but {len(eigenvalues)} eigenvalues were given"
@@ -92,7 +103,7 @@ def parse_spec_payload(payload: dict) -> tuple[FrameSpec, list[str]]:
     if len(provided) != 1:
         raise ValueError("provide exactly one of norms_squared, norms, unit")
     if provided[0] == "norms_squared":
-        norms_sq = tuple(parse_rational(str(v)) for v in payload["norms_squared"])
+        norms_sq = _parse_each(map(str, payload["norms_squared"]))
     elif provided[0] == "norms":
         norms_sq = []
         for text in payload["norms"]:
@@ -123,31 +134,35 @@ def load_spec_file(path: str) -> tuple[FrameSpec, list[str]]:
         return parse_spec_payload(json.load(handle))
 
 
-def matrix_to_payload(
-    matrix: SynthesisMatrix,
-    spec: FrameSpec | None = None,
-    reproducible: bool = False,
-) -> dict:
-    metadata: dict[str, Any] = {
-        "blockLog": [
-            {"kind": record.kind.value, "rowSpan": list(record.rows), "colSpan": list(record.cols)}
-            for record in matrix.block_log
-        ]
-    }
-    if spec is not None:
-        metadata["eigenvalues"] = [format_rational(v) for v in spec.eigenvalues]
-        metadata["norms_squared"] = [format_rational(v) for v in spec.norms_sq]
-    if not reproducible:
-        metadata["generator"] = {"name": GENERATOR_NAME, "version": GENERATOR_VERSION}
-    return {
-        "dim": matrix.dim,
-        "count": matrix.count,
-        "entries": [
-            {"row": r, "col": c, **radical_to_json(value)}
-            for r, c, value in matrix.entries
-        ],
-        "metadata": metadata,
-    }
+# The matrix file as ``canonical_json`` renders it.  Entries and block-log
+# records always have the same keys, so one format string renders each;
+# the tests check the result against ``canonical_json`` byte for byte.
+_ENTRY = (
+    '{\n      "col": %d,\n      "rad": {\n        "den": %d,\n        "num": %d\n'
+    '      },\n      "row": %d,\n      "sign": %d\n    }'
+)
+_BLOCK_RECORD = '{\n        "colSpan": %s,\n        "kind": "%s",\n        "rowSpan": %s\n      }'
+_GENERATOR = '"generator": ' + json.dumps(
+    {"name": GENERATOR_NAME, "version": GENERATOR_VERSION}, sort_keys=True, indent=2
+).replace("\n", "\n    ")
+
+
+def _nested(brackets: str, items: list[str], indent: str) -> str:
+    """An indent-2 JSON array or object of rendered items, opened on a
+    line indented by ``indent``."""
+    if not items:
+        return brackets
+    inner = "\n  " + indent
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + indent + brackets[1]
+
+
+def _span(span: tuple[int, ...]) -> str:
+    return _nested("[]", [str(i) for i in span], "        ")
+
+
+def _literals(values) -> str:
+    # rational literals hold only digits, "-" and "/": nothing to escape
+    return _nested("[]", [f'"{format_rational(v)}"' for v in values], "    ")
 
 
 def dump_matrix_file(
@@ -155,7 +170,30 @@ def dump_matrix_file(
     spec: FrameSpec | None = None,
     reproducible: bool = False,
 ) -> str:
-    return canonical_json(matrix_to_payload(matrix, spec, reproducible))
+    """The matrix file text: sorted keys, indent 2, as ``canonical_json``."""
+    entries = [
+        _ENTRY % (col, value.radicand.denominator, value.radicand.numerator, row, value.sign)
+        for row, col, value in matrix.entries
+    ]
+    log = [
+        _BLOCK_RECORD % (_span(record.cols), record.kind.value, _span(record.rows))
+        for record in matrix.block_log
+    ]
+    # in sorted key order: blockLog, eigenvalues, generator, norms_squared
+    metadata = ['"blockLog": ' + _nested("[]", log, "    ")]
+    if spec is not None:
+        metadata.append('"eigenvalues": ' + _literals(spec.eigenvalues))
+    if not reproducible:
+        metadata.append(_GENERATOR)
+    if spec is not None:
+        metadata.append('"norms_squared": ' + _literals(spec.norms_sq))
+    top = [
+        f'"count": {matrix.count:d}',
+        f'"dim": {matrix.dim:d}',
+        '"entries": ' + _nested("[]", entries, "  "),
+        '"metadata": ' + _nested("{}", metadata, "  "),
+    ]
+    return _nested("{}", top, "") + "\n"
 
 
 @_parsed_json("matrix file")
@@ -164,13 +202,21 @@ def matrix_from_payload(payload: dict) -> SynthesisMatrix:
 
     Raises ValueError unless the payload is an object with ``dim``,
     ``count`` and ``entries``; :class:`SynthesisMatrix` checks the cells.
+    Entries with equal raw ``(sign, num, den)`` share one value, built
+    once: values are immutable, and equal raw fields convert equally.
     """
     if not isinstance(payload, dict) or not {"dim", "count", "entries"} <= payload.keys():
         raise ValueError("a matrix file is an object with 'dim', 'count' and 'entries'")
-    entries = [
-        (int(item["row"]), int(item["col"]), radical_from_json(item))
-        for item in payload["entries"]
-    ]
+    values: dict = {}
+    entries = []
+    for item in payload["entries"]:
+        row, col = int(item["row"]), int(item["col"])
+        rad = item["rad"]
+        key = (item["sign"], rad["num"], rad["den"])
+        value = values.get(key)
+        if value is None:
+            value = values[key] = radical_from_json(item)
+        entries.append((row, col, value))
     log = []
     for record in payload.get("metadata", {}).get("blockLog", []):
         log.append(
@@ -195,8 +241,8 @@ def spec_from_matrix_metadata(payload: dict) -> FrameSpec | None:
     metadata = payload.get("metadata", {})
     if "eigenvalues" in metadata and "norms_squared" in metadata:
         return FrameSpec(
-            eigenvalues=tuple(parse_rational(v) for v in metadata["eigenvalues"]),
-            norms_sq=tuple(parse_rational(v) for v in metadata["norms_squared"]),
+            eigenvalues=_parse_each(metadata["eigenvalues"]),
+            norms_sq=_parse_each(metadata["norms_squared"]),
         )
     return None
 

@@ -1,11 +1,21 @@
-"""Shared test utilities: dense views and randomized spec generators."""
+"""Shared test utilities: dense views, randomized spec generators and
+reference implementations the fast paths are checked against."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
-from spectral_tetris import FrameSpec, RadicalScalar, SynthesisMatrix
+from spectral_tetris import (
+    BlockKind,
+    BlockRecord,
+    FrameSpec,
+    RadicalScalar,
+    SynthesisMatrix,
+    format_rational,
+)
+from spectral_tetris.formats import GENERATOR_NAME, GENERATOR_VERSION, radical_from_json
 
 
 def grid(matrix: SynthesisMatrix) -> list[list[tuple[int, Fraction]]]:
@@ -131,3 +141,70 @@ def pnstc_succeeds(spec: FrameSpec) -> bool:
         return True
     except SpectralTetrisError:
         return False
+
+
+def matrix_to_payload(
+    matrix: SynthesisMatrix,
+    spec: FrameSpec | None = None,
+    reproducible: bool = False,
+) -> dict:
+    """The matrix file as a JSON value; ``formats.canonical_json`` of it is
+    the byte oracle for ``formats.dump_matrix_file``."""
+    metadata: dict = {
+        "blockLog": [
+            {"kind": record.kind.value, "rowSpan": list(record.rows), "colSpan": list(record.cols)}
+            for record in matrix.block_log
+        ]
+    }
+    if spec is not None:
+        metadata["eigenvalues"] = [format_rational(v) for v in spec.eigenvalues]
+        metadata["norms_squared"] = [format_rational(v) for v in spec.norms_sq]
+    if not reproducible:
+        metadata["generator"] = {"name": GENERATOR_NAME, "version": GENERATOR_VERSION}
+    return {
+        "dim": matrix.dim,
+        "count": matrix.count,
+        "entries": [
+            {
+                "row": r,
+                "col": c,
+                "sign": value.sign,
+                "rad": {"num": value.radicand.numerator, "den": value.radicand.denominator},
+            }
+            for r, c, value in matrix.entries
+        ],
+        "metadata": metadata,
+    }
+
+
+def matrix_from_payload_per_entry(payload: dict) -> SynthesisMatrix:
+    """Reference for ``formats.matrix_from_payload``: one ``radical_from_json``
+    per entry, no sharing, and the library's own exceptions unwrapped."""
+    entries = [
+        (int(item["row"]), int(item["col"]), radical_from_json(item))
+        for item in payload["entries"]
+    ]
+    log = tuple(
+        BlockRecord(
+            kind=BlockKind(record["kind"]),
+            rows=tuple(map(int, record["rowSpan"])),
+            cols=tuple(map(int, record["colSpan"])),
+        )
+        for record in payload.get("metadata", {}).get("blockLog", [])
+    )
+    return SynthesisMatrix(
+        dim=int(payload["dim"]), count=int(payload["count"]), entries=entries, block_log=log
+    )
+
+
+def k_inequality_scan_loop(count: int, dim: int) -> int | None:
+    """Row-by-row reference for ``k_inequality_scan`` on 1 < count/dim < 2,
+    in O(dim) steps."""
+    redundancy = Fraction(count, dim)
+    for k in range(1, dim):
+        k_mass = k * redundancy
+        if k_mass.denominator == 1:
+            continue
+        if math.floor(k_mass) > (k + 1) * redundancy - 2:
+            return k
+    return None

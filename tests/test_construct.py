@@ -25,7 +25,7 @@ from spectral_tetris import (
     unit_tight_feasible,
     verify_matrix,
 )
-from helpers import cell, grid, random_ready_spec
+from helpers import cell, grid, k_inequality_scan_loop, random_ready_spec
 
 F = Fraction
 
@@ -157,6 +157,19 @@ def test_k_inequality_scan_examples():
         k_inequality_scan(8, 8)
 
 
+def test_k_inequality_scan_agrees_with_the_row_scan():
+    for dim in range(2, 151):
+        for count in range(dim + 1, 2 * dim):
+            assert k_inequality_scan(count, dim) == k_inequality_scan_loop(count, dim), (count, dim)
+    # q up to 10^4, half of them 2q - 3 over q, whose first failing row is
+    # near q/3 rather than near 1
+    rng = random.Random(7)
+    for _ in range(100):
+        dim = rng.randint(5, 10**4)
+        count = 2 * dim - 3 if rng.random() < 0.5 else rng.randint(dim + 1, 2 * dim - 1)
+        assert k_inequality_scan(count, dim) == k_inequality_scan_loop(count, dim), (count, dim)
+
+
 def test_unit_tight_small_cases():
     assert grid(unit_tight(3, 2)) == [
         [cell(1, 1), cell(1, F(1, 4)), cell(1, F(1, 4))],
@@ -204,6 +217,12 @@ def test_equal_norm_frame_validation():
         equal_norm_frame((1, 2))
     with pytest.raises(ValueError):
         equal_norm_frame((3, 2, 1), r_override=0)
+
+
+def test_equal_norm_frame_refuses_more_vectors_than_the_limit():
+    # 317^2 = 100,489 vectors; the limit is checked before anything is built
+    with pytest.raises(ValueError, match="limit of 100000"):
+        equal_norm_frame((3, 2, 1), r_override=317)
 
 
 def test_equal_norm_frame_accepts_a_larger_override():

@@ -195,6 +195,20 @@ def test_cli_usage_errors_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_construct_writes_no_file_when_the_csv_cannot_render(tmp_path, capsys):
+    # sqrt(10^700) = 10^350 has no double, so the CSV render fails after
+    # the matrix rendered fine
+    big = str(10**700)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(
+        json.dumps({"dim": 1, "eigenvalues": [big], "norms_squared": [big]}), encoding="utf-8"
+    )
+    out, csv = tmp_path / "out.json", tmp_path / "out.csv"
+    assert main(["construct", str(spec_path), str(out), "--float-csv", str(csv)]) == 1
+    assert capsys.readouterr().err == "error: math range error\n"
+    assert not out.exists() and not csv.exists()
+
+
 def test_cli_float_mode_beyond_the_double_range_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "matrix.json"
     path.write_text(json.dumps({**_GOOD_MATRIX, "entries": [_entry(0, 0, 10**700), _entry(1, 1)]}))
@@ -243,3 +257,33 @@ def test_cli_zero_row_is_found_before_allocating_by_the_header(tmp_path):
     )
     assert done.returncode == 2, done.stderr
     assert done.stderr == "not a frame: row 0 is zero; the lower frame bound fails\n"
+
+
+def _cli_in_a_child(*argv: str) -> subprocess.CompletedProcess:
+    """The CLI in a child process with 1 GiB of address space and a 20 s cap."""
+    src = str(Path(spectral_tetris.__file__).parent.parent)
+    return subprocess.run(
+        [sys.executable, "-m", "spectral_tetris.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=20,
+        env={"PYTHONPATH": src},
+        preexec_fn=_limit_address_space,
+    )
+
+
+def test_cli_feasible_with_a_twelve_digit_dim_finishes():
+    # a row-by-row scan would try 33,333,333,334 rows before this answer
+    done = _cli_in_a_child("feasible", "--vectors", "200000000003", "--dim", "100000000003")
+    assert done.returncode == 2, done.stderr
+    payload = json.loads(done.stdout)
+    assert payload["feasible"] is False and payload["failingK"] == 33333333334
+
+
+def test_cli_equal_norm_refuses_a_frame_above_the_vector_limit():
+    # r = 1,732,051: about 3 * 10^12 vectors
+    done = _cli_in_a_child("equal-norm", "--eigenvalues", "1000000000000,1")
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "limit of 100000" in done.stderr

@@ -77,7 +77,7 @@ def test_loaded_matrix_is_a_hashable_value():
 
 def test_matrix_entries_are_sorted_by_column_then_row():
     spec = FrameSpec(eigenvalues=(2, 5), norms_sq=(3, 3, 1))
-    payload = formats.matrix_to_payload(pnstc(spec))
+    payload = json.loads(formats.dump_matrix_file(pnstc(spec)))
     keys = [(item["col"], item["row"]) for item in payload["entries"]]
     assert keys == sorted(keys)
     assert all(item["sign"] != 0 for item in payload["entries"])
@@ -86,8 +86,8 @@ def test_matrix_entries_are_sorted_by_column_then_row():
 def test_reproducible_payload_has_no_generator_stamp():
     spec = FrameSpec(eigenvalues=(2, 5), norms_sq=(3, 3, 1))
     matrix = pnstc(spec)
-    stamped = formats.matrix_to_payload(matrix, spec)
-    clean = formats.matrix_to_payload(matrix, spec, reproducible=True)
+    stamped = json.loads(formats.dump_matrix_file(matrix, spec))
+    clean = json.loads(formats.dump_matrix_file(matrix, spec, reproducible=True))
     assert "generator" in stamped["metadata"]
     assert "generator" not in clean["metadata"]
 
