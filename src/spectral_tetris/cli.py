@@ -15,12 +15,11 @@ import errno
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import formats
 from .construct import equal_norm_frame, pnstc, unit_tight_feasible
 from .errors import ConstructionStuckError, SpectralTetrisError, ZeroRowError
-from .readiness import FrameSpec, check_ready
+from .readiness import check_ready
 from .scalar import format_rational, parse_rational
 from .search import DEFAULT_BUDGET, DEFAULT_MAX_RESULTS, SearchRequest, find_ready_orderings
 from .verify import DEFAULT_FLOAT_TOL, verify_matrix
@@ -68,10 +67,15 @@ def _write_files(outputs) -> None:
         raise
 
 
-def cmd_construct(args) -> int:
-    spec, warnings = formats.load_spec_file(args.spec)
+def _load_spec(path: str):
+    spec, warnings = formats.load_spec_file(path)
     for note in warnings:
         print(f"warning: {note}", file=sys.stderr)
+    return spec
+
+
+def cmd_construct(args) -> int:
+    spec = _load_spec(args.spec)
     try:
         matrix = pnstc(spec)
     except ConstructionStuckError as exc:
@@ -88,9 +92,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_check(args) -> int:
-    spec, warnings = formats.load_spec_file(args.spec)
-    for note in warnings:
-        print(f"warning: {note}", file=sys.stderr)
+    spec = _load_spec(args.spec)
     report = check_ready(spec)
     violation = None
     if not report.ready:
@@ -116,9 +118,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_search(args) -> int:
-    spec, warnings = formats.load_spec_file(args.spec)
-    for note in warnings:
-        print(f"warning: {note}", file=sys.stderr)
+    spec = _load_spec(args.spec)
     request = SearchRequest(
         norms_sq=spec.norms_sq,
         eigenvalues=spec.eigenvalues,
@@ -200,9 +200,7 @@ def cmd_feasible(args) -> int:
 
 def cmd_equal_norm(args) -> int:
     eigenvalues = [parse_rational(part) for part in args.eigenvalues.split(",")]
-    r, matrix = equal_norm_frame(eigenvalues, r_override=args.r)
-    norm_sq = sum(eigenvalues, Fraction(0)) / (r * r)
-    spec = FrameSpec(eigenvalues=tuple(eigenvalues), norms_sq=(norm_sq,) * (r * r))
+    r, spec, matrix = equal_norm_frame(eigenvalues, r_override=args.r)
     text = formats.dump_matrix_file(matrix, spec, reproducible=args.reproducible)
     if args.out:
         _write_files([(args.out, text)])

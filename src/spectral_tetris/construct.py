@@ -11,9 +11,9 @@ accepts the ordering, and otherwise stops with the same violation.
 
 ``stc`` is the unit-norm specialization; ``unit_tight`` the unit-norm
 tight constructor with its closed-form feasibility test (redundancy >= 2,
-or reduced redundancy of the form (2L-1)/L); ``equal_norm_frame`` scales
-a unit-norm construction to realize an arbitrary decreasing spectrum with
-equal-norm vectors.
+or reduced redundancy of the form (2L-1)/L); ``equal_norm_frame`` runs
+``pnstc`` on the spec of r^2 equal norms that realizes an arbitrary
+decreasing spectrum.
 """
 
 from __future__ import annotations
@@ -30,10 +30,16 @@ from .errors import (
     DegenerateSpectrumError,
     InfeasibleError,
     InvalidDimsError,
-    NotSortedError,
     OutOfRangeError,
 )
-from .readiness import FrameSpec, _cursor, _rational_tuple, _require_trace, _unit_spec
+from .readiness import (
+    FrameSpec,
+    _cursor,
+    _rational_tuple,
+    _require_sorted,
+    _require_trace,
+    _unit_spec,
+)
 from .scalar import ZERO, RadicalScalar
 
 
@@ -103,18 +109,6 @@ class SynthesisMatrix:
         for r, c, value in self.entries:
             dense[r][c] = float(value)
         return dense
-
-    def scaled_by_sqrt(self, factor_sq: Fraction) -> "SynthesisMatrix":
-        """Multiply every entry by sqrt(factor_sq) > 0; log is unchanged."""
-        if factor_sq <= 0:
-            raise ValueError("scale factor must be positive")
-        scale = RadicalScalar.sqrt(factor_sq)
-        return SynthesisMatrix(
-            dim=self.dim,
-            count=self.count,
-            entries=tuple((r, c, value * scale) for r, c, value in self.entries),
-            block_log=self.block_log,
-        )
 
 
 @dataclass(frozen=True)
@@ -251,49 +245,38 @@ def unit_tight(count: int, dim: int) -> SynthesisMatrix:
 MAX_EQUAL_NORM_VECTORS = 10**5
 
 
-def _min_integer_sqrt_at_least(bound: Fraction) -> int:
-    """Smallest positive integer r with r*r >= bound."""
-    if bound <= 1:
-        return 1
-    r = math.isqrt(bound.numerator // bound.denominator)
-    while r * r < bound:
-        r += 1
-    return r
-
-
-def equal_norm_frame(eigenvalues, r_override: int | None = None) -> tuple[int, SynthesisMatrix]:
+def equal_norm_frame(
+    eigenvalues, r_override: int | None = None
+) -> tuple[int, FrameSpec, SynthesisMatrix]:
     """Equal-norm frame with a prescribed decreasing spectrum.
 
-    Scales the spectrum by r^2/total so the smallest scaled eigenvalue is
-    at least 2, builds the unit-norm frame with r^2 vectors, and scales
-    all entries back by sqrt(total)/r.  The minimal r also satisfies
-    r^2 * (1 - lambda_1/total) >= 3; pass ``r_override`` to use a larger
-    (or any) r instead -- construction fails safely if it is too small.
-    Raises ValueError, before building anything, when r^2 exceeds
-    ``MAX_EQUAL_NORM_VECTORS``.
+    Returns ``(r, spec, matrix)``: ``spec`` has the eigenvalues and r^2
+    squared norms total/r^2, and ``matrix`` is ``pnstc(spec)``.  The
+    minimal r makes every squared norm at most half the smallest
+    eigenvalue and satisfies r^2 * (1 - lambda_1/total) >= 3; pass
+    ``r_override`` to use a larger (or any) r instead -- construction
+    fails safely if it is too small.  Raises ValueError, before building
+    anything, when r^2 exceeds ``MAX_EQUAL_NORM_VECTORS``.
     """
     values = _rational_tuple(eigenvalues)
     if any(v <= 0 for v in values):
         raise ValueError("eigenvalues must be positive")
     if len(values) < 2:
         raise DegenerateSpectrumError("need at least two eigenvalues")
-    if any(a < b for a, b in zip(values, values[1:])):
-        raise NotSortedError("eigenvalues must be sorted decreasing")
+    _require_sorted(values, increasing=False, what="eigenvalues")
     total = sum(values, ZERO)
-    epsilon = 1 - values[0] / total
-    if epsilon == 0:
-        raise DegenerateSpectrumError("largest eigenvalue equals the total mass")
+    epsilon = 1 - values[0] / total  # > 0: two or more eigenvalues are positive
     if r_override is not None:
         if r_override < 1:
             raise ValueError("r override must be a positive integer")
         r = r_override
     else:
-        r = _min_integer_sqrt_at_least(max(2 * total / values[-1], 3 / epsilon))
+        bound = max(2 * total / values[-1], 3 / epsilon)
+        r = math.isqrt(math.ceil(bound) - 1) + 1  # the least r with r*r >= bound; r*r is an integer
     if r * r > MAX_EQUAL_NORM_VECTORS:
         raise ValueError(
             f"the equal-norm frame needs r^2 vectors with r = {r}, "
             f"more than the limit of {MAX_EQUAL_NORM_VECTORS}"
         )
-    scaled = tuple(Fraction(r * r) / total * v for v in values)
-    unit_matrix = stc(scaled, r * r)
-    return r, unit_matrix.scaled_by_sqrt(total / (r * r))
+    spec = FrameSpec(values, (total / (r * r),) * (r * r))
+    return r, spec, pnstc(spec)

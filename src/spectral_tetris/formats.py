@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Any
 
 from . import __version__
-from .construct import BlockKind, BlockRecord, SynthesisMatrix
+from .construct import MAX_EQUAL_NORM_VECTORS, BlockKind, BlockRecord, SynthesisMatrix
 from .readiness import FrameSpec
 from .scalar import RadicalScalar, format_rational, parse_rational
 
@@ -122,6 +122,8 @@ def parse_spec_payload(payload: dict) -> tuple[FrameSpec, list[str]]:
             raise ValueError(
                 f"unit norms need the eigenvalues to sum to a positive integer, got {total}"
             )
+        if total > MAX_EQUAL_NORM_VECTORS:  # an equal-norm spec: the same limit
+            raise ValueError(f"{total} unit norms exceed the limit of {MAX_EQUAL_NORM_VECTORS}")
         norms_sq = (Fraction(1),) * int(total)
     return FrameSpec(eigenvalues=eigenvalues, norms_sq=norms_sq), warnings
 

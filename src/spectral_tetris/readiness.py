@@ -183,12 +183,12 @@ def check_ready(spec: FrameSpec) -> ReadinessReport:
     """Decide whether the constructor succeeds on this exact ordering."""
     try:
         partition = forced_partition(spec)
-    except TraceMismatchError:
+    except TraceMismatchError as exc:
         return ReadinessReport(
             ready=False,
             partition=None,
             violation=(0, Violation.TRACE_MISMATCH),
-            detail=f"squared norms exceed eigenvalues by {spec.trace_gap()}",
+            detail=str(exc),
         )
     try:
         for _ in _cursor(spec):

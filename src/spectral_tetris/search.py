@@ -33,6 +33,7 @@ counts stay deterministic.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -97,10 +98,11 @@ class _Walk:
     """
 
     def __init__(self, req: SearchRequest):
-        self.norm_values = sorted(set(req.norms_sq), reverse=True)
-        self.eig_values = sorted(set(req.eigenvalues), reverse=True)
-        self.norm_counts = [req.norms_sq.count(v) for v in self.norm_values]
-        self.eig_counts = [req.eigenvalues.count(v) for v in self.eig_values]
+        norm_counts, eig_counts = Counter(req.norms_sq), Counter(req.eigenvalues)
+        self.norm_values = sorted(norm_counts, reverse=True)
+        self.eig_values = sorted(eig_counts, reverse=True)
+        self.norm_counts = [norm_counts[v] for v in self.norm_values]
+        self.eig_counts = [eig_counts[v] for v in self.eig_values]
         self.budget = req.budget
         self.max_results = req.max_results
         self.found: set[OrderingPair] = set()

@@ -260,10 +260,11 @@ def test_a10b_pair_screen_implies_readiness():
 
 
 def test_a11_equal_norm_three_eigenvalue_frame():
-    r, matrix = equal_norm_frame((3, 2, 1))
+    r, built, matrix = equal_norm_frame((3, 2, 1))
     assert r == 4
     assert matrix.count == 16
     spec = FrameSpec(eigenvalues=(3, 2, 1), norms_sq=(F(3, 8),) * 16)
+    assert built == spec
     result = verify_matrix(matrix, spec)
     assert result.matches_spec
     assert result.frame_bounds == (1, 3)

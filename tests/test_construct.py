@@ -193,18 +193,21 @@ def test_unit_tight_decomposes_along_the_gcd():
 
 
 def test_equal_norm_frame_examples():
-    r, matrix = equal_norm_frame((3, 2, 1))
+    r, built, matrix = equal_norm_frame((3, 2, 1))
     assert r == 4
     assert matrix.count == 16
     spec = FrameSpec(eigenvalues=(3, 2, 1), norms_sq=(F(3, 8),) * 16)
+    assert built == spec
     assert verify_matrix(matrix, spec).matches_spec
 
-    r, matrix = equal_norm_frame((2, 2))
+    r, built, matrix = equal_norm_frame((2, 2))
     assert r == 3 and matrix.count == 9
+    assert built == FrameSpec((2, 2), (F(4, 9),) * 9)
     assert verify_matrix(matrix, FrameSpec((2, 2), (F(4, 9),) * 9)).matches_spec
 
-    r, matrix = equal_norm_frame((1, 1))
+    r, built, matrix = equal_norm_frame((1, 1))
     assert r == 3 and matrix.count == 9
+    assert built == FrameSpec((1, 1), (F(2, 9),) * 9)
     assert verify_matrix(matrix, FrameSpec((1, 1), (F(2, 9),) * 9)).matches_spec
 
 
@@ -224,15 +227,51 @@ def test_equal_norm_frame_refuses_more_vectors_than_the_limit():
 
 
 def test_equal_norm_frame_accepts_a_larger_override():
-    r, matrix = equal_norm_frame((3, 2, 1), r_override=5)
+    r, built, matrix = equal_norm_frame((3, 2, 1), r_override=5)
     assert r == 5 and matrix.count == 25
     spec = FrameSpec(eigenvalues=(3, 2, 1), norms_sq=(F(6, 25),) * 25)
+    assert built == spec
     assert verify_matrix(matrix, spec).matches_spec
 
 
 def test_equal_norm_frame_with_too_small_override_fails_safely():
     with pytest.raises(ConstructionStuckError):
         equal_norm_frame((3, 2, 1), r_override=1)
+
+
+def test_equal_norm_frame_is_the_rescaled_unit_norm_frame():
+    # Every cursor comparison and block formula is homogeneous of degree 1
+    # in the masses, so pnstc on squared norms total/r^2 builds the unit-norm
+    # frame of the spectrum scaled by r^2/total, each radicand times total/r^2.
+    rng = random.Random(7)
+    built = stuck = 0
+    for _ in range(100):
+        values = [F(rng.randint(1, 30), rng.randint(1, 6)) for _ in range(rng.randint(2, 5))]
+        values.sort(reverse=True)
+        total = sum(values)
+        for r_override in (None, rng.randint(1, 12)):
+            try:
+                r, spec, matrix = equal_norm_frame(values, r_override=r_override)
+            except ConstructionStuckError as exc:
+                r = r_override
+                with pytest.raises(ConstructionStuckError) as unit_exc:
+                    stc([F(r * r) / total * v for v in values], r * r)
+                assert unit_exc.value.violation == exc.violation
+                assert (unit_exc.value.row, unit_exc.value.col) == (exc.row, exc.col)
+                stuck += 1
+                continue
+            scale = total / (r * r)
+            assert spec == FrameSpec(values, (scale,) * (r * r))
+            unit = stc([v / scale for v in values], r * r)
+            assert matrix.block_log == unit.block_log
+            assert [(row, col, value.sign) for row, col, value in matrix.entries] == [
+                (row, col, value.sign) for row, col, value in unit.entries
+            ]
+            assert [value.radicand for _, _, value in matrix.entries] == [
+                value.radicand * scale for _, _, value in unit.entries
+            ]
+            built += 1
+    assert built > 150 and stuck > 20
 
 
 def test_random_ready_specs_construct_and_verify():

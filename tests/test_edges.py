@@ -359,3 +359,29 @@ def test_cli_equal_norm_refuses_a_frame_above_the_vector_limit():
     assert done.stdout == ""
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
     assert "limit of 100000" in done.stderr
+
+
+@pytest.mark.parametrize("command", ["check", "construct", "search"])
+def test_cli_refuses_a_unit_spec_above_the_vector_limit(tmp_path, command):
+    # 58 bytes that would ask for 10^12 unit vectors
+    path = tmp_path / "spec.json"
+    path.write_text('{"dim": 1, "eigenvalues": ["1000000000000"], "unit": true}', encoding="utf-8")
+    extra = [str(tmp_path / "out.json")] if command == "construct" else []
+    done = _cli_in_a_child(command, str(path), *extra)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == "error: 1000000000000 unit norms exceed the limit of 100000\n"
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_cli_search_counts_many_distinct_norms_in_linear_time(tmp_path):
+    # 20,000 distinct squared norms k/20000 in one dimension: counting each
+    # distinct value by a scan of all of them would take minutes
+    count = 20_000
+    norms = [f"{k}/{count}" for k in range(1, count + 1)]
+    spec = {"dim": 1, "eigenvalues": [f"{count + 1}/2"], "norms_squared": norms}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    done = _cli_in_a_child("search", str(path), "--max-results", "1", "--budget", "1")
+    assert done.returncode == 0, done.stderr
+    assert len(json.loads(done.stdout)["orderings"]) == 1

@@ -185,6 +185,30 @@ def test_cli_check_and_construct_print_the_same_stuck_line(tmp_path, capsys, nam
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "norms_sq, sums", [(["1", "1", "1"], "sum to 3"), (["1", "1", "1", "1", "1"], "sum to 5")]
+)
+def test_cli_check_and_construct_describe_a_trace_mismatch_alike(tmp_path, capsys, norms_sq, sums):
+    # norms that fall short of the eigenvalues, and norms that exceed them
+    spec_path = tmp_path / "spec.json"
+    write_json(spec_path, {"dim": 2, "eigenvalues": ["2", "2"], "norms_squared": norms_sq})
+    detail = f"squared norms {sums}, eigenvalues to 4"
+    assert main(["check", str(spec_path)]) == 1
+    assert capsys.readouterr() == (f"not ready: violation at k=0: trace-mismatch ({detail})\n", "")
+    assert main(["check", str(spec_path), "--json"]) == 1
+    violation = json.loads(capsys.readouterr().out)["violation"]
+    assert violation == {"k": 0, "condition": "trace-mismatch", "detail": detail}
+    assert main(["construct", str(spec_path), str(tmp_path / "out.json")]) == 1
+    assert capsys.readouterr() == ("", f"error: {detail}\n")
+
+
+def test_unit_spec_at_the_vector_limit():
+    spec, _ = formats.parse_spec_payload({"dim": 1, "eigenvalues": ["100000"], "unit": True})
+    assert spec.count == 100_000
+    with pytest.raises(ValueError, match="100001 unit norms exceed the limit of 100000"):
+        formats.parse_spec_payload({"dim": 2, "eigenvalues": ["100000", "1"], "unit": True})
+
+
 def test_cli_verify_loads_the_matrix_through_matrix_from_payload(tmp_path, monkeypatch, capsys):
     # bench/tracing.py times matrix loading by wrapping this module attribute
     calls = []
@@ -201,6 +225,28 @@ def test_cli_verify_loads_the_matrix_through_matrix_from_payload(tmp_path, monke
     assert main(["verify", str(out), "--spec", str(spec_path)]) == 0
     assert len(calls) == 1
     capsys.readouterr()
+
+
+def test_cli_loads_every_spec_file_through_load_spec_file(tmp_path, monkeypatch, capsys):
+    # bench/tracing.py times spec loading by wrapping this module attribute;
+    # check, construct and search print the loader's warnings, verify does not
+    calls = []
+    original = formats.load_spec_file
+
+    def counted(path):
+        calls.append(path)
+        return original(path)
+
+    monkeypatch.setattr(formats, "load_spec_file", counted)
+    spec_path, out = tmp_path / "spec.json", tmp_path / "out.json"
+    write_json(spec_path, {"dim": 1, "eigenvalues": ["2"], "norms": ["1", "1"]})
+    warning = "warning: decimal norms are a lossy input path; pass norms_squared for exact results\n"
+    for argv in (["check", spec_path], ["construct", spec_path, out], ["search", spec_path]):
+        assert main([str(arg) for arg in argv]) == 0
+        assert capsys.readouterr().err == warning
+    assert main(["verify", str(out), "--spec", str(spec_path)]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(calls) == 4
 
 
 def test_cli_check_trace_mismatch_is_a_usage_error(tmp_path, capsys):
@@ -293,6 +339,16 @@ def test_cli_equal_norm(tmp_path, capsys):
     assert "r=4" in capsys.readouterr().out
     payload = json.loads(out_path.read_text())
     assert payload["count"] == 16
+    # the file carries the spec the frame was built from
+    assert payload["metadata"]["eigenvalues"] == ["3", "2", "1"]
+    assert payload["metadata"]["norms_squared"] == ["3/8"] * 16
+
+    # a too-small r sticks on the frame's own masses
+    code = main(["equal-norm", "--eigenvalues", "6,17/4,3,2", "--r", "3"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: the block over columns 7, 8 puts mass 119/36 into row 3, whose eigenvalue is 3\n"
+    )
 
     code = main(["equal-norm", "--eigenvalues", "5"])
     assert code == 2

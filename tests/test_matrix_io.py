@@ -79,7 +79,7 @@ def test_writer_matches_the_json_encoder_on_the_constructors():
     spec = FrameSpec(eigenvalues=(15, 4, 1, 4), norms_sq=(9, 4, 3, 3, 1, 4))
     assert_round_trip(pnstc(spec), spec)
     for eigenvalues, r in (((3, 2, 1), None), ((Fraction(7, 3), 2, Fraction(1, 5)), 7)):
-        _, matrix = equal_norm_frame(eigenvalues, r_override=r)
+        _, _, matrix = equal_norm_frame(eigenvalues, r_override=r)
         assert_round_trip(matrix)
 
 
