@@ -3,9 +3,10 @@
 Commands: construct, check, search, verify, feasible, equal-norm.
 Exit codes: 0 success, 1 usage or I/O or invalid input (including trace
 mismatch), 2 infeasible / not ready / verification failure, 3 search
-budget exhausted; an error's code is its ``exit_code``.  ``construct``
-reports the readiness violation the constructor stops on, so it needs
-no separate check.  Exact verification never falls back to float mode.
+budget exhausted; ``main`` prints every error a command stops on, once,
+and exits with its ``exit_code``.  Every command reports the readiness
+violation the cursor stops on, so none needs a separate check.  Exact
+verification never falls back to float mode.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 from . import formats
 from .construct import equal_norm_frame, pnstc, unit_tight_feasible
 from .errors import ConstructionStuckError, SpectralTetrisError, ZeroRowError
-from .readiness import check_ready
+from .readiness import Violation, check_ready
 from .scalar import format_rational, parse_rational
 from .search import DEFAULT_BUDGET, DEFAULT_MAX_RESULTS, SearchRequest, find_ready_orderings
 from .verify import DEFAULT_FLOAT_TOL, verify_matrix
@@ -76,11 +77,7 @@ def _load_spec(path: str):
 
 def cmd_construct(args) -> int:
     spec = _load_spec(args.spec)
-    try:
-        matrix = pnstc(spec)
-    except ConstructionStuckError as exc:
-        print(_not_ready_line(exc.violation, exc), file=sys.stderr)
-        return EXIT_INFEASIBLE
+    matrix = pnstc(spec)
     # render every output before opening any, so a failed render (a CSV
     # value beyond the double range) leaves no file behind
     outputs = [(args.out, formats.dump_matrix_file(matrix, spec, reproducible=args.reproducible))]
@@ -112,7 +109,7 @@ def cmd_check(args) -> int:
         print(_not_ready_line(report.violation, report.detail))
     if report.ready:
         return EXIT_OK
-    if report.violation[1].value == "trace-mismatch":
+    if report.violation[1] is Violation.TRACE_MISMATCH:
         return EXIT_USAGE
     return EXIT_INFEASIBLE
 
@@ -162,11 +159,7 @@ def cmd_verify(args) -> int:
         spec, _ = formats.load_spec_file(args.spec)
     else:  # the metadata block is parsed only when no --spec decides
         spec = formats.spec_from_matrix_metadata(payload)
-    try:
-        report = verify_matrix(matrix, spec, mode=args.mode, tol=args.tol)
-    except ZeroRowError as exc:
-        print(f"not a frame: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    report = verify_matrix(matrix, spec, tol=args.tol if args.mode == "float" else None)
     payload = {
         "rowSquareSums": [format_rational(v) for v in report.row_square_sums],
         "colSquareSums": [format_rational(v) for v in report.col_square_sums],
@@ -264,6 +257,12 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
+    except ConstructionStuckError as exc:
+        print(_not_ready_line(exc.violation, exc), file=sys.stderr)
+        return exc.exit_code
+    except ZeroRowError as exc:
+        print(f"not a frame: {exc}", file=sys.stderr)
+        return exc.exit_code
     except (OSError, OverflowError, ValueError, SpectralTetrisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", EXIT_USAGE)

@@ -28,7 +28,7 @@ from operator import itemgetter
 from .construct import Entry, SynthesisMatrix
 from .errors import ZeroRowError
 from .readiness import FrameSpec
-from .scalar import ZERO, RadicalScalar
+from .scalar import ZERO
 from .scalar import canonicalize  # noqa: F401  (bench/tracing.py wraps verify.canonicalize)
 
 DEFAULT_FLOAT_TOL = 1e-10
@@ -161,21 +161,19 @@ def _rows_orthogonal_float(matrix: SynthesisMatrix, columns: list[Column], tol: 
 def verify_matrix(
     matrix: SynthesisMatrix,
     spec: FrameSpec | None = None,
-    mode: str = "exact",
-    tol: float = DEFAULT_FLOAT_TOL,
+    tol: float | None = None,
 ) -> VerificationReport:
     """Full report; raises ZeroRowError when a row has no mass at all.
 
-    Exact mode never falls back to floats.  Float mode needs ``tol >= 0``,
-    so that row pairs sharing no column are orthogonal in either mode.
+    ``tol=None`` decides exactly and never falls back to floats.  A
+    number runs float mode and must be nonnegative, so that row pairs
+    sharing no column are orthogonal in either mode.
     """
-    if mode not in ("exact", "float"):
-        raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
-    if mode == "float" and not tol >= 0:
+    if tol is not None and not tol >= 0:
         raise ValueError(f"tolerance must be nonnegative, got {tol!r}")
     row_sums, col_sums = _square_sums(matrix)
     columns = _columns(matrix)
-    if mode == "exact":
+    if tol is None:
         orthogonal = _rows_orthogonal_exact(columns)
         mode_label = "exact"
     else:

@@ -100,7 +100,7 @@ def test_float_csv_round_trip(tmp_path):
     loaded = formats.load_float_csv(str(csv_path))
     dense = loaded.to_float_rows()
     assert dense == matrix.to_float_rows()
-    report = verify_matrix(loaded, mode="float")
+    report = verify_matrix(loaded, tol=1e-10)
     assert report.orthogonal
     # squared sums of exact float squares reproduce the targets here
     assert report.row_square_sums[0] == 2
@@ -182,6 +182,24 @@ def test_cli_check_and_construct_print_the_same_stuck_line(tmp_path, capsys, nam
     out = tmp_path / "out.json"
     assert main(["construct", str(spec_path), str(out)]) == 2
     assert capsys.readouterr() == ("", line)
+    assert not out.exists()
+
+
+def test_cli_construct_and_equal_norm_print_the_same_stuck_line(tmp_path, capsys):
+    # the spec that `equal-norm --r 3` builds: nine squared norms 61/36
+    spec_path = tmp_path / "spec.json"
+    write_json(
+        spec_path,
+        {"dim": 4, "eigenvalues": ["6", "17/4", "3", "2"], "norms_squared": ["61/36"] * 9},
+    )
+    out = tmp_path / "out.json"
+    assert main(["construct", str(spec_path), str(out)]) == 2
+    stuck = capsys.readouterr()
+    assert stuck.out == "" and stuck.err.startswith("not ready: violation at k=2: gap-ii (")
+    assert not out.exists()
+    for extra in ([], ["--out", str(out)]):
+        assert main(["equal-norm", "--eigenvalues", "6,17/4,3,2", "--r", "3", *extra]) == 2
+        assert capsys.readouterr() == stuck
     assert not out.exists()
 
 
@@ -347,7 +365,8 @@ def test_cli_equal_norm(tmp_path, capsys):
     code = main(["equal-norm", "--eigenvalues", "6,17/4,3,2", "--r", "3"])
     assert code == 2
     assert capsys.readouterr().err == (
-        "error: the block over columns 7, 8 puts mass 119/36 into row 3, whose eigenvalue is 3\n"
+        "not ready: violation at k=2: gap-ii "
+        "(the block over columns 7, 8 puts mass 119/36 into row 3, whose eigenvalue is 3)\n"
     )
 
     code = main(["equal-norm", "--eigenvalues", "5"])

@@ -62,8 +62,8 @@ def test_non_orthogonal_matrix_is_detected_in_both_modes():
     matrix = matrix_from_grid(
         [[cell(1, 1), cell(1, 1)], [cell(1, 1), cell(1, 4)]]
     )
-    assert not verify_matrix(matrix, mode="exact").orthogonal
-    assert not verify_matrix(matrix, mode="float").orthogonal
+    assert not verify_matrix(matrix).orthogonal
+    assert not verify_matrix(matrix, tol=1e-10).orthogonal
 
 
 def test_orthogonality_across_distinct_radicands():
@@ -75,9 +75,9 @@ def test_orthogonality_across_distinct_radicands():
             [cell(1, 3), cell(1, 2), cell(-1, 3)],
         ]
     )
-    report = verify_matrix(matrix, mode="exact")
+    report = verify_matrix(matrix)
     assert report.orthogonal
-    report = verify_matrix(matrix, mode="float")
+    report = verify_matrix(matrix, tol=1e-10)
     assert report.orthogonal
 
 
@@ -86,8 +86,8 @@ def test_exact_and_float_verdicts_agree_on_constructions():
     for _ in range(300):
         spec = random_ready_spec(rng)
         matrix = pnstc(spec)
-        exact = verify_matrix(matrix, spec, mode="exact")
-        approx = verify_matrix(matrix, spec, mode="float")
+        exact = verify_matrix(matrix, spec)
+        approx = verify_matrix(matrix, spec, tol=1e-10)
         assert exact.orthogonal and approx.orthogonal
         assert exact.row_square_sums == approx.row_square_sums
         assert exact.matches_spec and approx.matches_spec
@@ -115,13 +115,19 @@ def test_constructed_matrices_are_column_sparse():
 )
 def test_exact_orthogonality_by_square_class(second_row, orthogonal):
     matrix = matrix_from_grid([[cell(1, 1)] * 4, second_row])
-    assert verify_matrix(matrix, mode="exact").orthogonal is orthogonal
-    assert verify_matrix(matrix, mode="float").orthogonal is orthogonal
+    assert verify_matrix(matrix).orthogonal is orthogonal
+    assert verify_matrix(matrix, tol=1e-10).orthogonal is orthogonal
+
+
+def test_tolerance_selects_the_mode():
+    assert verify_matrix(pnstc(DEMO), tol=None).orthogonality_mode == "exact"
+    assert verify_matrix(pnstc(DEMO)).orthogonality_mode == "exact"
+    assert verify_matrix(pnstc(DEMO), tol=1e-10).orthogonality_mode == "float(1e-10)"
 
 
 def test_float_mode_rejects_a_negative_tolerance():
     with pytest.raises(ValueError):
-        verify_matrix(pnstc(DEMO), mode="float", tol=-1e-10)
+        verify_matrix(pnstc(DEMO), tol=-1e-10)
 
 
 # Radicands from a few square classes: 2 (2, 8, 18, 1/2), 6 (6, 2/3, 3/2), 3, 1.
@@ -199,8 +205,8 @@ def test_exact_verdicts_agree_with_a_factoring_oracle():
     verdicts = []
     for _ in range(2500):
         matrix = _random_class_matrix(rng)
-        exact = verify_matrix(matrix, mode="exact").orthogonal
-        approx = verify_matrix(matrix, mode="float").orthogonal
+        exact = verify_matrix(matrix).orthogonal
+        approx = verify_matrix(matrix, tol=1e-10).orthogonal
         assert exact == _oracle_exact(matrix), matrix.entries
         assert approx == _oracle_float(matrix), matrix.entries
         assert approx == exact, matrix.entries
