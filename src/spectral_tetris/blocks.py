@@ -4,12 +4,17 @@ A block A(x, a1, a2) has orthogonal rows, column squared norms a1^2, a2^2
 and first-row squared norm x; its second row then squares to
 y = a1^2 + a2^2 - x.  It exists iff a1^2 + a2^2 >= x > 0 and both column
 masses lie on the same side of x.
+
+The checks and the formula run on ints: the three masses are lifted to
+the lcm of their own denominators, so den is bounded by one block, and
+each of the four squared entries becomes one reduced Fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import BlockInfeasibleError
 from .scalar import RadicalScalar, as_rational
@@ -58,13 +63,32 @@ class Block2x2:
         )
 
 
+def _lifted(spec: BlockSpec) -> tuple[int, int, int, int]:
+    """(x, a1^2, a2^2, den): the masses as ints in units of 1/den, with den
+    the lcm of their three denominators."""
+    x, a1, a2 = spec.x, spec.a1_sq, spec.a2_sq
+    den = lcm(x.denominator, a1.denominator, a2.denominator)
+    return (
+        x.numerator * (den // x.denominator),
+        a1.numerator * (den // a1.denominator),
+        a2.numerator * (den // a2.denominator),
+        den,
+    )
+
+
+def _failed_condition(x: int, a1: int, a2: int) -> str | None:
+    """The first existence condition the lifted masses fail, or None."""
+    if not (a1 + a2 >= x > 0):
+        return "positive-mass"
+    above = a1 >= x and a2 >= x
+    below = a1 <= x and a2 <= x
+    return None if above or below else "same-side"
+
+
 def block_exists(spec: BlockSpec) -> bool:
     """Existence conditions: mass a1^2+a2^2 >= x > 0, columns same side of x."""
-    if not (spec.a1_sq + spec.a2_sq >= spec.x > 0):
-        return False
-    above = spec.a1_sq >= spec.x and spec.a2_sq >= spec.x
-    below = spec.a1_sq <= spec.x and spec.a2_sq <= spec.x
-    return above or below
+    x, a1, a2, _ = _lifted(spec)
+    return _failed_condition(x, a1, a2) is None
 
 
 def build_block(spec: BlockSpec) -> Block2x2:
@@ -75,34 +99,40 @@ def build_block(spec: BlockSpec) -> Block2x2:
     carries the same squares scaled by y/x, giving exactly cancelling
     cross terms.
     """
-    if not (spec.a1_sq + spec.a2_sq >= spec.x > 0):
+    x, a1, a2, den = _lifted(spec)
+    condition = _failed_condition(x, a1, a2)
+    if condition == "positive-mass":
         raise BlockInfeasibleError(
             f"first-row mass {spec.x} exceeds total column mass "
             f"{spec.a1_sq + spec.a2_sq}",
-            condition="positive-mass",
+            condition=condition,
         )
-    if not block_exists(spec):
+    if condition == "same-side":
         raise BlockInfeasibleError(
             f"column masses {spec.a1_sq}, {spec.a2_sq} straddle the row mass {spec.x}",
-            condition="same-side",
+            condition=condition,
         )
-    x, a1, y = spec.x, spec.a1_sq, spec.y
+    y = a1 + a2 - x
     if x == y:
-        half = x / 2
-        top = RadicalScalar.sqrt(half)
+        top = _root(x, 2 * den)
         return Block2x2(
             entries=((top, top), (top, -top)),
             degenerate=False,
             zero_second_row=False,
         )
-    d = x - y
-    alpha = RadicalScalar.sqrt(x * (a1 - y) / d)
-    beta = RadicalScalar.sqrt(x * (x - a1) / d)
-    c_beta = RadicalScalar.sqrt(y * (x - a1) / d)
-    c_alpha = RadicalScalar.sqrt(y * (a1 - y) / d)
+    scale = den * (x - y)
+    alpha = _root(x * (a1 - y), scale)
+    beta = _root(x * (x - a1), scale)
+    c_beta = _root(y * (x - a1), scale)
+    c_alpha = _root(y * (a1 - y), scale)
     cells = (alpha, beta, c_beta, c_alpha)
     return Block2x2(
         entries=((alpha, beta), (c_beta, -c_alpha)),
         degenerate=any(c.is_zero() for c in cells),
         zero_second_row=(y == 0),
     )
+
+
+def _root(num: int, den: int) -> RadicalScalar:
+    """sqrt(num / den); RadicalScalar rejects a negative quotient."""
+    return RadicalScalar(1 if num else 0, Fraction(num, den))

@@ -19,11 +19,11 @@ import sys
 
 from . import formats
 from .construct import equal_norm_frame, pnstc, unit_tight_feasible
-from .errors import ConstructionStuckError, SpectralTetrisError, ZeroRowError
+from .errors import ConstructionStuckError, SpectralTetrisError, ZeroColumnError, ZeroRowError
 from .readiness import Violation, check_ready
 from .scalar import format_rational, parse_rational
 from .search import DEFAULT_BUDGET, DEFAULT_MAX_RESULTS, SearchRequest, find_ready_orderings
-from .verify import DEFAULT_FLOAT_TOL, verify_matrix
+from .verify import DEFAULT_FLOAT_TOL, require_nonzero_lines, verify_matrix
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -155,6 +155,7 @@ def cmd_verify(args) -> int:
         with open(args.matrix, encoding="utf-8") as handle:
             payload = json.load(handle)
         matrix = formats.matrix_from_payload(payload)
+        require_nonzero_lines(matrix)  # before anything is allocated by the file's count
     if args.spec:
         spec, _ = formats.load_spec_file(args.spec)
     else:  # the metadata block is parsed only when no --spec decides
@@ -260,7 +261,7 @@ def main(argv=None) -> int:
     except ConstructionStuckError as exc:
         print(_not_ready_line(exc.violation, exc), file=sys.stderr)
         return exc.exit_code
-    except ZeroRowError as exc:
+    except (ZeroRowError, ZeroColumnError) as exc:
         print(f"not a frame: {exc}", file=sys.stderr)
         return exc.exit_code
     except (OSError, OverflowError, ValueError, SpectralTetrisError) as exc:

@@ -87,3 +87,9 @@ class ZeroRowError(SpectralTetrisError):
     """A synthesis matrix row is identically zero; not a frame."""
 
     exit_code = 2
+
+
+class ZeroColumnError(SpectralTetrisError):
+    """A matrix file has a column with no nonzero entry, a zero vector."""
+
+    exit_code = 2

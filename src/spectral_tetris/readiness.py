@@ -18,6 +18,15 @@ the squared norms and the eigenvalues (:func:`forced_partition`).
 Consecutive cuts may coincide when a row completes exactly and the next
 row opens with an immediate block; that configuration constructs fine.
 
+The cursor runs on ints: a row's residual mass is ``r / den`` with den
+bounded by the denominators of that one row (its eigenvalue, its carry
+and the norms it takes), never by the whole spec.  A single lift over
+the lcm of all denominators would not do: with the squared norms 1/p,
+(p-1)/p for 20,000 primes p near 10^5, every row sums to an integer,
+yet that lcm has about 340,000 bits and every mass would be an int of
+that size.  :func:`forced_partition` and the screens below stay on
+Fractions; they are off the construct path.
+
 Also here: the quick sufficient screens for sorted sequences, the
 constant-spectrum (tight) and unit-norm reformulations, and the
 majorization existence test (which is constructor-independent).
@@ -32,7 +41,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .errors import ConstructionStuckError, NotSortedError, TraceMismatchError
-from .scalar import ZERO, as_rational
+from .scalar import ZERO, add_ratios, as_rational, exact_sum
 
 
 def _rational_tuple(values) -> tuple[Fraction, ...]:
@@ -72,7 +81,7 @@ class FrameSpec:
 
     def trace_gap(self) -> Fraction:
         """sum(norms_sq) - sum(eigenvalues); zero iff the trace identity holds."""
-        return sum(self.norms_sq, ZERO) - sum(self.eigenvalues, ZERO)
+        return exact_sum(self.norms_sq) - exact_sum(self.eigenvalues)
 
 
 class Violation(Enum):
@@ -110,9 +119,10 @@ class ReadinessReport:
 
 
 def _require_trace(spec: FrameSpec) -> None:
-    if spec.trace_gap() != 0:
+    norms_total, eigenvalues_total = exact_sum(spec.norms_sq), exact_sum(spec.eigenvalues)
+    if norms_total != eigenvalues_total:
         raise TraceMismatchError(
-            f"squared norms sum to {sum(spec.norms_sq)}, eigenvalues to {sum(spec.eigenvalues)}"
+            f"squared norms sum to {norms_total}, eigenvalues to {eigenvalues_total}"
         )
 
 
@@ -142,18 +152,34 @@ def _cursor(spec: FrameSpec):
 
     Requires the trace identity: it keeps a block out of the last row and
     a positive residual from running out of columns.
+
+    The residual mass is ``r / den`` in ints.  A norm whose denominator
+    divides den is taken in by a scaled subtraction; otherwise den grows
+    to the lcm and the pair is reduced.  So den is always the denominator
+    of some reduced residual of this row.  The carry is reduced once per
+    block.  Only a block's x and the stuck details become Fractions.
     """
     eigenvalues, norms, count = spec.eigenvalues, spec.norms_sq, spec.count
+    nums = [v.numerator for v in norms]
+    dens = [v.denominator for v in norms]
     col = 0
-    carry = ZERO  # second-row mass of the block that closed the previous row
+    carry, carry_den = 0, 1  # second-row mass of the block that closed the previous row
     for row, eigenvalue in enumerate(eigenvalues):
-        residual = eigenvalue - carry if carry else eigenvalue
-        while col < count and norms[col] <= residual:
+        r, den = eigenvalue.numerator, eigenvalue.denominator
+        if carry:
+            r, den = add_ratios(r, den, -carry, carry_den)
+        while col < count:
+            num, norm_den = nums[col], dens[col]
+            if num * den > r * norm_den:
+                break
             yield row, col, None
-            residual -= norms[col]
+            if den % norm_den:
+                r, den = add_ratios(r, den, -num, norm_den)
+            else:
+                r -= num * (den // norm_den)
             col += 1
-        carry = ZERO
-        if residual == 0:
+        carry = 0
+        if r == 0:
             continue
         k = row + 1
         if col + 1 >= count:
@@ -162,20 +188,21 @@ def _cursor(spec: FrameSpec):
                 f"but only {count} columns exist"
             )
             raise ConstructionStuckError(detail, row=row, col=col, violation=(k, Violation.GAP_II))
-        partner = norms[col + 1]
-        if partner < residual:
-            detail = f"column {col + 2} squared norm {partner} < deficit {residual}"
+        if nums[col + 1] * den < r * dens[col + 1]:
+            detail = f"column {col + 2} squared norm {norms[col + 1]} < deficit {Fraction(r, den)}"
             raise ConstructionStuckError(
                 detail, row=row, col=col, violation=(k, Violation.NORM_BOUND_II)
             )
-        carry = norms[col] + partner - residual
-        if carry > eigenvalues[k]:
+        carry, carry_den = add_ratios(nums[col], dens[col], nums[col + 1], dens[col + 1])
+        carry, carry_den = add_ratios(carry, carry_den, -r, den)
+        bound = eigenvalues[k]
+        if carry * bound.denominator > bound.numerator * carry_den:
             detail = (
-                f"the block over columns {col + 1}, {col + 2} puts mass {carry} "
-                f"into row {k + 1}, whose eigenvalue is {eigenvalues[k]}"
+                f"the block over columns {col + 1}, {col + 2} puts mass "
+                f"{Fraction(carry, carry_den)} into row {k + 1}, whose eigenvalue is {bound}"
             )
             raise ConstructionStuckError(detail, row=row, col=col, violation=(k, Violation.GAP_II))
-        yield row, col, residual
+        yield row, col, Fraction(r, den)
         col += 2
 
 
@@ -239,7 +266,7 @@ def tight_bound(norms_sq, dim: int) -> Fraction:
     values = _rational_tuple(norms_sq)
     if dim < 1:
         raise ValueError("dimension must be positive")
-    return sum(values, ZERO) / dim
+    return exact_sum(values) / dim
 
 
 def tight_sufficient(norms_sq, dim: int) -> bool:

@@ -13,6 +13,8 @@ rational radicand.  Rationals are plain :class:`fractions.Fraction` values
   grouping on the square-free part.
 * ``to_float`` -- correctly-rounded base conversions composed with an
   IEEE sqrt; relative error at most a few ulp (documented bound: 4 ulp).
+* ``exact_sum`` and ``add_ratios`` -- exact sums of rationals on ints,
+  reducing once per denominator or once per growth of the denominator.
 """
 
 from __future__ import annotations
@@ -46,6 +48,29 @@ def format_rational(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def exact_sum(values) -> Fraction:
+    """The exact sum of rationals: numerators that share a denominator add
+    as ints, then the few per-denominator totals add as Fractions.
+
+    Adding term by term reduces a Fraction at every step; here the
+    reduction runs once per distinct denominator.
+    """
+    totals: dict[int, int] = {}
+    for value in values:
+        den = value.denominator
+        totals[den] = totals.get(den, 0) + value.numerator
+    return sum((Fraction(num, den) for den, num in totals.items()), ZERO)
+
+
+def add_ratios(num: int, den: int, other: int, other_den: int) -> tuple[int, int]:
+    """num/den + other/other_den as a reduced (numerator, denominator) pair
+    of ints, for positive denominators."""
+    common = den * (other_den // math.gcd(den, other_den))
+    total = num * (common // den) + other * (common // other_den)
+    g = math.gcd(total, common)
+    return total // g, common // g
 
 
 def as_rational(value) -> Fraction:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .readiness import FrameSpec, _rational_tuple, check_ready
-from .scalar import ZERO
+from .scalar import ZERO, exact_sum
 
 DEFAULT_BUDGET = 1_000_000
 DEFAULT_MAX_RESULTS = 16
@@ -59,7 +59,7 @@ class SearchRequest:
     def __post_init__(self):
         object.__setattr__(self, "norms_sq", _rational_tuple(self.norms_sq))
         object.__setattr__(self, "eigenvalues", _rational_tuple(self.eigenvalues))
-        if sum(self.norms_sq, ZERO) != sum(self.eigenvalues, ZERO):
+        if exact_sum(self.norms_sq) != exact_sum(self.eigenvalues):
             raise ValueError("norm and eigenvalue multisets must have equal sums")
         if self.max_results < 1:
             raise ValueError("max_results must be positive")

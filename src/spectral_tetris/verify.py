@@ -1,7 +1,11 @@
 """Verification of synthesis matrices: exact, or float on request.
 
-Row and column squared sums are always exact (sums of radicands).  Two
-rows can have a nonzero inner product only through the columns they
+Row and column squared sums are always exact (sums of radicands).  Each
+row and column keeps a running ``num / den`` of ints, with den bounded
+by the radicands of that one row or column, never by the whole matrix,
+and becomes one Fraction at the end.
+
+Two rows can have a nonzero inner product only through the columns they
 share, so orthogonality walks the column runs of the entries (stored
 sorted by column) and looks only at row pairs that meet in some column:
 O(sum of nnz_c^2) cross terms instead of O(N^2) row pairs.
@@ -26,9 +30,9 @@ from itertools import groupby
 from operator import itemgetter
 
 from .construct import Entry, SynthesisMatrix
-from .errors import ZeroRowError
+from .errors import ZeroColumnError, ZeroRowError
 from .readiness import FrameSpec
-from .scalar import ZERO
+from .scalar import add_ratios
 from .scalar import canonicalize  # noqa: F401  (bench/tracing.py wraps verify.canonicalize)
 
 DEFAULT_FLOAT_TOL = 1e-10
@@ -59,22 +63,67 @@ def sparsity(matrix: SynthesisMatrix) -> tuple[int, int]:
     return len(matrix.entries), max(map(len, _columns(matrix)), default=0)
 
 
+def _first_zero(indices, size: int) -> int | None:
+    """The least index in range(size) that no entry carries, or None.
+
+    Allocates by the number of entries, never by ``size``.
+    """
+    carried = set(indices)
+    if len(carried) == size:
+        return None
+    return next(i for i in range(size) if i not in carried)
+
+
+def _require_rows(matrix: SynthesisMatrix) -> None:
+    index = _first_zero((r for r, _, _ in matrix.entries), matrix.dim)
+    if index is not None:
+        raise ZeroRowError(f"row {index} is zero; the lower frame bound fails")
+
+
+def require_nonzero_lines(matrix: SynthesisMatrix) -> None:
+    """Raise on the first zero row, else on the first zero column.
+
+    A zero column is a zero vector, which no spec's positive squared
+    norms can match.  ``verify`` applies this to a matrix file before
+    anything is allocated by its ``count``; :func:`verify_matrix` itself
+    accepts zero columns.
+    """
+    _require_rows(matrix)
+    index = _first_zero((c for _, c, _ in matrix.entries), matrix.count)
+    if index is not None:
+        raise ZeroColumnError(f"column {index} is zero; no spec's positive squared norms match it")
+
+
 def _square_sums(matrix: SynthesisMatrix) -> tuple[list[Fraction], list[Fraction]]:
     """Exact row and column square sums; raises ZeroRowError on a zero row.
 
     A row is zero iff it carries no nonzero entry.  That is tested before
     any list of length ``dim`` is allocated, so a matrix file cannot ask
     for memory by its ``dim`` alone.
+
+    An entry whose denominator divides its row's (or column's) den adds
+    its numerator scaled; otherwise den grows to the lcm and the running
+    sum is reduced.  So den is always the denominator of some reduced
+    partial sum of that row or column.
     """
-    carried = {r for r, _, _ in matrix.entries}
-    if len(carried) < matrix.dim:
-        index = next(r for r in range(matrix.dim) if r not in carried)
-        raise ZeroRowError(f"row {index} is zero; the lower frame bound fails")
-    rows = [ZERO] * matrix.dim
-    cols = [ZERO] * matrix.count
+    _require_rows(matrix)
+    row_num, row_den = [0] * matrix.dim, [1] * matrix.dim
+    col_num, col_den = [0] * matrix.count, [1] * matrix.count
     for r, c, value in matrix.entries:
-        rows[r] += value.radicand
-        cols[c] += value.radicand
+        radicand = value.radicand
+        num, den = radicand.numerator, radicand.denominator
+        held = row_den[r]
+        if held % den:
+            row_num[r], row_den[r] = add_ratios(row_num[r], held, num, den)
+        else:
+            row_num[r] += num * (held // den)
+        held = col_den[c]
+        if held % den:
+            col_num[c], col_den[c] = add_ratios(col_num[c], held, num, den)
+        else:
+            col_num[c] += num * (held // den)
+    rows = [Fraction(num, den) for num, den in zip(row_num, row_den)]
+    cols = [Fraction(num, den) for num, den in zip(col_num, col_den)]
     return rows, cols
 
 

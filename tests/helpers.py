@@ -10,9 +10,11 @@ from fractions import Fraction
 from spectral_tetris import (
     BlockKind,
     BlockRecord,
+    ConstructionStuckError,
     FrameSpec,
     RadicalScalar,
     SynthesisMatrix,
+    Violation,
     format_rational,
 )
 from spectral_tetris.formats import GENERATOR_NAME, GENERATOR_VERSION, radical_from_json
@@ -208,3 +210,43 @@ def k_inequality_scan_loop(count: int, dim: int) -> int | None:
         if math.floor(k_mass) > (k + 1) * redundancy - 2:
             return k
     return None
+
+
+def reference_cursor(spec: FrameSpec):
+    """Reference for ``readiness._cursor``: the same walk with every mass a
+    ``Fraction``, yielding and raising exactly what the cursor does."""
+    eigenvalues, norms, count = spec.eigenvalues, spec.norms_sq, spec.count
+    col = 0
+    carry = Fraction(0)
+    for row, eigenvalue in enumerate(eigenvalues):
+        residual = eigenvalue - carry if carry else eigenvalue
+        while col < count and norms[col] <= residual:
+            yield row, col, None
+            residual -= norms[col]
+            col += 1
+        carry = Fraction(0)
+        if residual == 0:
+            continue
+        k = row + 1
+        if col + 1 >= count:
+            detail = (
+                f"row {k} needs a block over columns {col + 1}, {col + 2} "
+                f"but only {count} columns exist"
+            )
+            raise ConstructionStuckError(detail, row=row, col=col, violation=(k, Violation.GAP_II))
+        partner = norms[col + 1]
+        if partner < residual:
+            detail = f"column {col + 2} squared norm {partner} < deficit {residual}"
+            raise ConstructionStuckError(
+                detail, row=row, col=col, violation=(k, Violation.NORM_BOUND_II)
+            )
+        carry = norms[col] + partner - residual
+        if carry > eigenvalues[k]:
+            detail = (
+                f"the block over columns {col + 1}, {col + 2} puts mass {carry} "
+                f"into row {k + 1}, whose eigenvalue is {eigenvalues[k]}"
+            )
+            raise ConstructionStuckError(detail, row=row, col=col, violation=(k, Violation.GAP_II))
+        yield row, col, residual
+        col += 2
+

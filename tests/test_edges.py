@@ -385,3 +385,42 @@ def test_cli_search_counts_many_distinct_norms_in_linear_time(tmp_path):
     done = _cli_in_a_child("search", str(path), "--max-results", "1", "--budget", "1")
     assert done.returncode == 0, done.stderr
     assert len(json.loads(done.stdout)["orderings"]) == 1
+
+
+def test_cli_zero_column_is_found_before_allocating_by_the_count(tmp_path):
+    # 10**9 columns would need 8 GB per list; the first one without an
+    # entry is reported instead
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({"dim": 1, "count": 10**9, "entries": [_entry(0, 0)]}))
+    done = _cli_in_a_child("verify", str(path))
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    assert done.stderr == "not a frame: column 1 is zero; no spec's positive squared norms match it\n"
+
+
+def _primes_above(low: int, count: int) -> list[int]:
+    limit = low + 40 * count  # prime gaps near 10**5 average about 12
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, int(limit**0.5) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    return [p for p in range(low + 1, limit + 1) if sieve[p]][:count]
+
+
+@pytest.mark.parametrize("dim", [10_000, 1])
+def test_cli_paired_prime_norms_stay_small(tmp_path, dim):
+    # norms^2 1/p, (p-1)/p for 20,000 primes p: every row's sum is an
+    # integer, but the lcm of all denominators has about 340,000 bits, so
+    # masses lifted over it take seconds and gigabytes
+    primes = _primes_above(10**5, 20_000)
+    norms = [text for p in primes for text in (f"1/{p}", f"{p - 1}/{p}")]
+    eigenvalues = [str(20_000 // dim)] * dim
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"dim": dim, "eigenvalues": eigenvalues, "norms_squared": norms}))
+    checked = _cli_in_a_child("check", str(path))
+    assert checked.returncode == 0, checked.stderr
+    assert checked.stdout.startswith("ready (partition 4,8," if dim > 1 else "ready (partition 40000)")
+    built = _cli_in_a_child("construct", str(path), str(tmp_path / "out.json"))
+    assert built.returncode == 0, built.stderr
+    assert built.stdout.startswith(f"wrote {dim}x40000 matrix (40000 nonzeros)")

@@ -1,0 +1,181 @@
+"""Byte-for-byte pins of the command-line outputs on a fixed set of specs.
+
+For each spec the test runs ``check --json``, ``construct --reproducible``
+and, when a matrix was built, ``verify`` on it, all in-process through
+``cli.main``, and compares the sha256 of each command's exit code, stdout,
+stderr and written file with the digest pinned below.  Any change to a
+verdict, a partition, a stuck detail, a matrix entry or a verify sum
+shows here.  A change that alters output on purpose re-pins the digests
+and says why; ``PYTHONPATH=src python tests/test_golden_outputs.py DIR``
+prints them, writing its files in DIR.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+from spectral_tetris import format_rational
+from spectral_tetris.cli import main
+from helpers import random_mixed_spec
+
+
+def _unit_tight(dim: int) -> dict:
+    return {"dim": dim, "eigenvalues": [f"{2 * dim - 1}/{dim}"] * dim, "unit": True}
+
+
+def _spec_payload(spec) -> dict:
+    return {
+        "dim": spec.dim,
+        "eigenvalues": [format_rational(v) for v in spec.eigenvalues],
+        "norms_squared": [format_rational(v) for v in spec.norms_sq],
+    }
+
+
+def _specs() -> dict[str, dict]:
+    specs = {f"unit-tight-{n}": _unit_tight(n) for n in (7, 50, 300)}
+    rng = random.Random(11)
+    for i in range(12):
+        specs[f"mixed-{i}"] = _spec_payload(random_mixed_spec(rng))
+    # one stuck spec per place the cursor stops, and a trace mismatch
+    specs["stuck-trace-mismatch"] = {"dim": 2, "eigenvalues": ["2", "2"], "norms_squared": ["1"] * 3}
+    specs["stuck-no-partner"] = {"dim": 2, "eigenvalues": ["3/2"] * 2, "norms_squared": ["1", "2"]}
+    specs["stuck-norm-bound"] = {"dim": 2, "eigenvalues": ["5", "2"], "norms_squared": ["3", "3", "1"]}
+    specs["stuck-overfilled-row"] = {
+        "dim": 4,
+        "eigenvalues": ["6", "17/4", "3", "2"],
+        "norms_squared": ["61/36"] * 9,
+    }
+    return specs
+
+
+def _run(*argv: str) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _digest(*parts) -> str:
+    return hashlib.sha256(json.dumps(parts).encode("utf-8")).hexdigest()
+
+
+def digests(name: str, payload: dict) -> dict[str, str]:
+    """The digest of each command's outputs on one spec, run in the
+    current directory."""
+    Path(f"{name}.json").write_text(json.dumps(payload), encoding="utf-8")
+    out = f"{name}.out.json"
+    result = {"check": _digest(*_run("check", f"{name}.json", "--json"))}
+    built = _run("construct", f"{name}.json", out, "--reproducible")
+    text = Path(out).read_text(encoding="utf-8") if os.path.exists(out) else None
+    result["construct"] = _digest(*built, text)
+    if text is not None:
+        result["verify"] = _digest(*_run("verify", out))
+    return result
+
+
+GOLDEN = {
+    "mixed-0": {
+        "check": "b92c2db7bd4a02c7d678da98ad8e0ee7916828f49bbd1edf167e868d8cb0d891",
+        "construct": "f411d64eda7c8dccfc6cc9adb9bf31c086d1f2914aa068675a0027c656175123",
+    },
+    "mixed-1": {
+        "check": "98392fbd9e44672cb8e8bb471ddc86be4a3177688662e04e1fa7caee40ce11c0",
+        "construct": "7fc123f4b3fb4a945217d01f1f04bc4e5d014f596cc7328f5cbd046b244a5adf",
+    },
+    "mixed-10": {
+        "check": "616f456ace611d7bcdce50501f51a99cff7a46a0e2d1c8beed8816789e2e5907",
+        "construct": "19579543e73d5a7e351580626ea6eb849b4136978a306babe8720a8a54bec86f",
+    },
+    "mixed-11": {
+        "check": "f8eaec9f3d2962a2d3ddcb255c2260e9b7161210f5cc407fb4953557b3aa3fbf",
+        "construct": "c8735de79bf1e909b170ab8bb09ef38ad43a901c768aefd311684f613c067165",
+    },
+    "mixed-2": {
+        "check": "d8657e4298f922ed691f6dde111f1be24e6af0a48fec17c9e3b0752410a71561",
+        "construct": "a880044c46c58a4de8c7fd0588abf083d7872cb7ce44054707bbcc92c8a2bfee",
+        "verify": "7a1f2ff1699f806f0e45b52248b9a5e70ee9392e494f26c43946ce8c9c7ed3ff",
+    },
+    "mixed-3": {
+        "check": "a4b2949386fbd791e582d013d1aa932421dd6875e6fd638468ea807b6fe0f251",
+        "construct": "59a63ea0c5e9403b4e664978eb346c7f206abd7b6bc7534dd6cdf8983a727a2b",
+        "verify": "e1c34b63494a2e981af26261a5ea482a53390ab7771a8199c5efec144fc1ab32",
+    },
+    "mixed-4": {
+        "check": "b858fb2a4abc761f9185e863cd858ec9322329b2f05ba82983b4f837a4a05c25",
+        "construct": "bd2c3057075efecf44135051646ee4978cdc49222f37b96ad61d09659b5fbcfb",
+        "verify": "eb9527e883f58614b2aaebbb5b0d94b1c38228e56efd553d04fb514be69a6f39",
+    },
+    "mixed-5": {
+        "check": "94c63e4f78a94048fbdd6bb8caa1ae1fb833914002a564ac2df6b70383ed9c04",
+        "construct": "1bcf33ec7f3167bb36cc3bc9a149ef11c5e22cd8ef67220e28e01d3c5c66930c",
+    },
+    "mixed-6": {
+        "check": "53d8fba99764b4c9d04bb334ee450f331f92ff61a1534ca377ff098388d4d4b9",
+        "construct": "19579543e73d5a7e351580626ea6eb849b4136978a306babe8720a8a54bec86f",
+    },
+    "mixed-7": {
+        "check": "cfa774fb718bfa034de384db636fc332c48997ec1f2dd509f8a01d0267fcc2bd",
+        "construct": "d38e8499b89cf4acb7095ebd8be72fc632ac6f1fa38282271e46c64820c03178",
+    },
+    "mixed-8": {
+        "check": "88263b7982527cc05b6ffe9caf0ea18f5415270ccc2254d05e9d9fd17eff6abb",
+        "construct": "dc807158e787abb41c43ca6330667acf9881b5a21b2c283d03fd1819ac040b47",
+        "verify": "e97be09863f8e871f473ebc11f87d1b38b45e30da8c838310f65f31055e9fe94",
+    },
+    "mixed-9": {
+        "check": "c794bfea8083924aac51e29d6a4791fa8e45335b20f4590ec3170c39c1eaa5b3",
+        "construct": "4753e2e9390900d57b9730ba8af7fb5f51c805c24aef0700cf395abb09e22004",
+    },
+    "stuck-no-partner": {
+        "check": "6afcac05551db6543f1ff7e1957b392a87ffca7fe3548b882a7e85203bdbe509",
+        "construct": "c8735de79bf1e909b170ab8bb09ef38ad43a901c768aefd311684f613c067165",
+    },
+    "stuck-norm-bound": {
+        "check": "c9f20111c3828723208ab16cedab296657508db3c5cc27a36d90355854bbfc37",
+        "construct": "65fa4ee3b09ef3a9fc7b0ec477bb8f00e939ec11e7b883bc6603f34eaca9c064",
+    },
+    "stuck-overfilled-row": {
+        "check": "723b53934c57f00c5c57af672b680444c5f87ade9f61f434cf1f7efba40d2ff9",
+        "construct": "69a7f31e55e2b1cd064ae71bcd0fa33595c3dbc0690e7e765a3ca8a963296591",
+    },
+    "stuck-trace-mismatch": {
+        "check": "988aa407bd828d4fc536e0bc2d9eb56e90c12a53d5fafccbe4701efca36b87ec",
+        "construct": "fb37a95ea98ac0d1cc3b06847fe2dc58f7a2810324426d7d16b4f526d42eb921",
+    },
+    "unit-tight-300": {
+        "check": "7a3d5bde5a2ee43cf1c4cb08a13ad3178b5f0368cba6167375207b0de72ef313",
+        "construct": "32849abcd4ae811c420d7476d1cca4a78acf9b2d5009bd599cf7bf3e40a98cd4",
+        "verify": "dc88e2a508fa5ec7e64793e4efc2c32e1f8edc5830771ab871ac8925a69cdc8c",
+    },
+    "unit-tight-50": {
+        "check": "b5eafd3f682f45a91bd9ad72ec8ea120d54a81af3309494fb2686b7ff72ce0d4",
+        "construct": "05d5396bf01bcc84b49468c20625713b0a86a657ef9fa8957328c1136df5b7c6",
+        "verify": "deb1b3f3c23ae28bfc78ebe627621e6ea4b647a79f25dc07dff04ee3c9d5c2a5",
+    },
+    "unit-tight-7": {
+        "check": "a9749b213d263b8315116d446bffe2c890bb31f1393c998fbc1dcc027105c040",
+        "construct": "bddfe4da85fbe81dfd77eef009401c3a5fea07d258b5b4eac4d3647c85b337ad",
+        "verify": "7edcdb42cd515a389cbe5adef5e4f00aecce99429c5d8fe9de5d058341d9c31b",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_specs()))
+def test_outputs_match_the_pinned_digests(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    assert digests(name, _specs()[name]) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    os.chdir(sys.argv[1])
+    for case, spec_payload in sorted(_specs().items()):
+        print(f"    {case!r}: {digests(case, spec_payload)!r},")

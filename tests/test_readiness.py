@@ -19,7 +19,13 @@ from spectral_tetris import (
     unit_ready,
     verify_matrix,
 )
-from helpers import pnstc_succeeds, random_mixed_spec, random_ready_spec
+from spectral_tetris.readiness import _cursor
+from helpers import (
+    pnstc_succeeds,
+    random_mixed_spec,
+    random_ready_spec,
+    reference_cursor,
+)
 
 F = Fraction
 
@@ -202,3 +208,30 @@ def test_stuck_row_matches_reported_violation():
         assert str(err.value) == report.detail
         assert err.value.row == report.violation[0] - 1
         seen += 1
+
+
+def _cursor_outcome(cursor, spec):
+    """Every placement of ``cursor(spec)``, then how it ended: None, or the
+    stuck error's violation, cursor position and message."""
+    placements = []
+    try:
+        for placement in cursor(spec):
+            placements.append(placement)
+    except ConstructionStuckError as exc:
+        return placements, (exc.violation, exc.row, exc.col, str(exc))
+    return placements, None
+
+
+def test_integer_cursor_matches_the_fraction_reference():
+    rng = random.Random(2024)
+    stuck = 0
+    for _ in range(2000):
+        spec = random_mixed_spec(rng)
+        if spec.trace_gap() != 0:  # the cursor requires the trace identity
+            continue
+        outcome = _cursor_outcome(_cursor, spec)
+        assert outcome == _cursor_outcome(reference_cursor, spec)
+        # an int x would compare equal to the reference's Fraction
+        assert all(type(x) in (Fraction, type(None)) for _, _, x in outcome[0])
+        stuck += outcome[1] is not None
+    assert stuck > 100  # both kinds of ending are exercised

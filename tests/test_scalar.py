@@ -16,8 +16,24 @@ from spectral_tetris import (
     parse_rational,
     to_float,
 )
+from spectral_tetris.scalar import add_ratios, exact_sum
 
 F = Fraction
+
+
+fractions = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
+
+
+@given(fractions, fractions)
+def test_add_ratios_is_the_reduced_sum(a, b):
+    total = a + b
+    pair = add_ratios(a.numerator, a.denominator, b.numerator, b.denominator)
+    assert pair == (total.numerator, total.denominator)
+
+
+@given(st.lists(fractions, max_size=20))
+def test_exact_sum_is_the_sum(values):
+    assert exact_sum(values) == sum(values, F(0))
 
 
 def test_rational_arithmetic_is_exact():

@@ -8,13 +8,15 @@ from spectral_tetris import (
     RadicalScalar,
     ZeroRowError,
     canonicalize,
+    check_ready,
     pnstc,
     sparsity,
     stc,
     unit_tight,
     verify_matrix,
 )
-from helpers import cell, matrix_from_grid, random_ready_spec
+from spectral_tetris.verify import _square_sums
+from helpers import cell, matrix_from_grid, random_mixed_spec, random_ready_spec
 
 F = Fraction
 
@@ -213,3 +215,21 @@ def test_exact_verdicts_agree_with_a_factoring_oracle():
         verdicts.append(exact)
     # both verdicts are well represented
     assert 300 <= sum(verdicts) <= 2200
+
+
+def test_square_sums_match_fraction_sums():
+    rng = random.Random(2024)
+    built = 0
+    for _ in range(2000):
+        spec = random_mixed_spec(rng)
+        if not check_ready(spec).ready:
+            continue
+        matrix = pnstc(spec)
+        rows = [F(0)] * matrix.dim
+        cols = [F(0)] * matrix.count
+        for r, c, value in matrix.entries:
+            rows[r] += value.radicand
+            cols[c] += value.radicand
+        assert _square_sums(matrix) == (rows, cols)
+        built += 1
+    assert built > 500
