@@ -5,9 +5,10 @@ and first-row squared norm x; its second row then squares to
 y = a1^2 + a2^2 - x.  It exists iff a1^2 + a2^2 >= x > 0 and both column
 masses lie on the same side of x.
 
-The checks and the formula run on ints: the three masses are lifted to
-the lcm of their own denominators, so den is bounded by one block, and
-each of the four squared entries becomes one reduced Fraction.
+The masses are ints or Fractions, and a nonpositive one raises
+ValueError.  The checks and the formula run on ints: the three masses are
+lifted to the lcm of their own denominators, so den is bounded by one
+block, and each of the four squared entries becomes one reduced Fraction.
 """
 
 from __future__ import annotations
@@ -17,27 +18,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import BlockInfeasibleError
-from .scalar import RadicalScalar, as_rational
-
-
-@dataclass(frozen=True)
-class BlockSpec:
-    """First-row mass x and the two column squared norms, all positive."""
-
-    x: Fraction
-    a1_sq: Fraction
-    a2_sq: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", as_rational(self.x))
-        object.__setattr__(self, "a1_sq", as_rational(self.a1_sq))
-        object.__setattr__(self, "a2_sq", as_rational(self.a2_sq))
-        if self.x <= 0 or self.a1_sq <= 0 or self.a2_sq <= 0:
-            raise ValueError("block masses must be positive")
-
-    @property
-    def y(self) -> Fraction:
-        return self.a1_sq + self.a2_sq - self.x
+from .scalar import RadicalScalar
 
 
 @dataclass(frozen=True)
@@ -63,17 +44,19 @@ class Block2x2:
         )
 
 
-def _lifted(spec: BlockSpec) -> tuple[int, int, int, int]:
+def _lifted(x, a1_sq, a2_sq) -> tuple[int, int, int, int]:
     """(x, a1^2, a2^2, den): the masses as ints in units of 1/den, with den
-    the lcm of their three denominators."""
-    x, a1, a2 = spec.x, spec.a1_sq, spec.a2_sq
-    den = lcm(x.denominator, a1.denominator, a2.denominator)
-    return (
+    the lcm of their three denominators.  Raises ValueError unless all
+    three are positive."""
+    den = lcm(x.denominator, a1_sq.denominator, a2_sq.denominator)
+    lifted = (
         x.numerator * (den // x.denominator),
-        a1.numerator * (den // a1.denominator),
-        a2.numerator * (den // a2.denominator),
-        den,
+        a1_sq.numerator * (den // a1_sq.denominator),
+        a2_sq.numerator * (den // a2_sq.denominator),
     )
+    if min(lifted) <= 0:
+        raise ValueError("block masses must be positive")
+    return (*lifted, den)
 
 
 def _failed_condition(x: int, a1: int, a2: int) -> str | None:
@@ -85,13 +68,13 @@ def _failed_condition(x: int, a1: int, a2: int) -> str | None:
     return None if above or below else "same-side"
 
 
-def block_exists(spec: BlockSpec) -> bool:
+def block_exists(x, a1_sq, a2_sq) -> bool:
     """Existence conditions: mass a1^2+a2^2 >= x > 0, columns same side of x."""
-    x, a1, a2, _ = _lifted(spec)
+    x, a1, a2, _ = _lifted(x, a1_sq, a2_sq)
     return _failed_condition(x, a1, a2) is None
 
 
-def build_block(spec: BlockSpec) -> Block2x2:
+def build_block(x, a1_sq, a2_sq) -> Block2x2:
     """Construct the block with top row nonnegative and bottom row (+, -).
 
     For x = y all four squared entries are x/2; otherwise
@@ -99,17 +82,18 @@ def build_block(spec: BlockSpec) -> Block2x2:
     carries the same squares scaled by y/x, giving exactly cancelling
     cross terms.
     """
-    x, a1, a2, den = _lifted(spec)
+    x, a1, a2, den = _lifted(x, a1_sq, a2_sq)
     condition = _failed_condition(x, a1, a2)
     if condition == "positive-mass":
         raise BlockInfeasibleError(
-            f"first-row mass {spec.x} exceeds total column mass "
-            f"{spec.a1_sq + spec.a2_sq}",
+            f"first-row mass {Fraction(x, den)} exceeds total column mass "
+            f"{Fraction(a1 + a2, den)}",
             condition=condition,
         )
     if condition == "same-side":
         raise BlockInfeasibleError(
-            f"column masses {spec.a1_sq}, {spec.a2_sq} straddle the row mass {spec.x}",
+            f"column masses {Fraction(a1, den)}, {Fraction(a2, den)} "
+            f"straddle the row mass {Fraction(x, den)}",
             condition=condition,
         )
     y = a1 + a2 - x

@@ -25,7 +25,7 @@ from enum import Enum
 from fractions import Fraction
 from operator import itemgetter
 
-from .blocks import BlockSpec, build_block
+from .blocks import build_block
 from .errors import (
     DegenerateSpectrumError,
     InfeasibleError,
@@ -142,7 +142,7 @@ def pnstc(spec: FrameSpec) -> SynthesisMatrix:
             entries.append((row, col, RadicalScalar.sqrt(norms[col])))
             log.append(BlockRecord(BlockKind.SINGLETON, (row, row), (col, col)))
             continue
-        block = build_block(BlockSpec(x=x, a1_sq=norms[col], a2_sq=norms[col + 1]))
+        block = build_block(x, norms[col], norms[col + 1])
         for dc in (0, 1):
             for dr in (0, 1):
                 entries.append((row + dr, col + dc, block.entries[dr][dc]))

@@ -1,31 +1,28 @@
 """Exact feasibility tests for ordered eigenvalue / squared-norm sequences.
 
-The central predicate is :func:`check_ready`.  It runs the Spectral Tetris
-cursor (:func:`_cursor`, the one rule :func:`~spectral_tetris.construct.pnstc`
-also builds from): each row takes singleton columns while they fit and
-closes a positive remainder d_k with a 2x2 block over the next two
-columns, spilling into row k+1.  The cursor sticks, and the ordering is
-not ready, when
+One scan (:func:`_scan`) gives, for each row k, the forced cut m_k, the
+unique index with ``A(m_k) <= L(k) < A(m_k + 1)`` for the prefix sums A
+and L of the squared norms and the eigenvalues, and the deficit
+``d_k = L(k) - A(m_k)``.  The ordering is ready iff every row with
+d_k > 0 has
 
-* the norm bound fails: the block's second column is lighter than d_k
-  (``NORM_BOUND_II``, no such block exists), or
-* the gap condition fails: there is no second column, or the block's
-  second-row mass overfills eigenvalue k+1 (``GAP_II``).
+* ``m_(k+1) >= m_k + 2``: a block column m_k + 2 exists and the block's
+  second-row mass fits eigenvalue k+1 (else ``GAP_II``), and
+* ``a_(m_k + 2)^2 >= d_k``: that column carries the deficit (else
+  ``NORM_BOUND_II``).
 
-Where the cursor opens row k's block is the forced cut m_k, the unique
-index with ``A(m_k) <= L(k) < A(m_k + 1)`` for the prefix sums A and L of
-the squared norms and the eigenvalues (:func:`forced_partition`).
-Consecutive cuts may coincide when a row completes exactly and the next
-row opens with an immediate block; that configuration constructs fine.
+:func:`_stuck` tests one row.  :func:`check_ready` reads the cuts and
+the first stuck row in one pass; :func:`_cursor`, which
+:func:`~spectral_tetris.construct.pnstc` builds from, places singletons
+up to m_k and a 2x2 block at m_k.  Consecutive cuts may coincide when a
+row completes exactly and the next opens with an immediate block.
 
-The cursor runs on ints: a row's residual mass is ``r / den`` with den
-bounded by the denominators of that one row (its eigenvalue, its carry
-and the norms it takes), never by the whole spec.  A single lift over
-the lcm of all denominators would not do: with the squared norms 1/p,
-(p-1)/p for 20,000 primes p near 10^5, every row sums to an integer,
-yet that lcm has about 340,000 bits and every mass would be an int of
-that size.  :func:`forced_partition` and the screens below stay on
-Fractions; they are off the construct path.
+The scan runs on ints: d_k = r / den with den bounded by the
+denominators of one row, never by the whole spec.  Fraction prefix sums
+of 2/p over the first 6,000 primes carry the product of the primes.  A
+lift over the lcm of all denominators fails too: with the squared norms
+1/p, (p-1)/p for 20,000 primes p near 10^5 every row sums to an
+integer, yet that lcm has about 340,000 bits.
 
 Also here: the quick sufficient screens for sorted sequences, the
 constant-spectrum (tight) and unit-norm reformulations, and the
@@ -34,11 +31,9 @@ majorization existence test (which is constructor-independent).
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate
 
 from .errors import ConstructionStuckError, NotSortedError, TraceMismatchError
 from .scalar import ZERO, add_ratios, as_rational, exact_sum
@@ -126,17 +121,64 @@ def _require_trace(spec: FrameSpec) -> None:
         )
 
 
-def forced_partition(spec: FrameSpec) -> Partition:
-    """The unique cut indices satisfying the prefix-sum sandwich.
+def _scan(spec: FrameSpec):
+    """Yield ``(m_k, r, den)`` per row: the forced cut and d_k = r / den.
 
-    Requires the trace identity (raises TraceMismatchError otherwise);
-    existence and uniqueness of each cut then follow from positivity.
+    A norm whose denominator divides den is taken in by a scaled
+    subtraction, otherwise the pair is reduced, so den stays the
+    denominator of some reduced residual of the row.  Needs the trace
+    identity for the last cut to be M.
     """
+    nums = [v.numerator for v in spec.norms_sq]
+    dens = [v.denominator for v in spec.norms_sq]
+    count = spec.count
+    col, r, den = 0, 0, 1
+    for eigenvalue in spec.eigenvalues:
+        r, den = add_ratios(r, den, eigenvalue.numerator, eigenvalue.denominator)
+        while col < count:
+            num, norm_den = nums[col], dens[col]
+            if num * den > r * norm_den:
+                break
+            if den % norm_den:
+                r, den = add_ratios(r, den, -num, norm_den)
+            else:
+                r -= num * (den // norm_den)
+            col += 1
+        yield col, r, den
+
+
+def _stuck(spec: FrameSpec, row: int, cut: int, r: int, den: int) -> ConstructionStuckError | None:
+    """The error at 0-based ``row`` with cut ``cut`` and deficit r / den > 0,
+    or None when its block fits; ``violation`` is (row + 1, condition)."""
+    norms, count, k = spec.norms_sq, spec.count, row + 1
+    if cut + 1 >= count:
+        detail = (
+            f"row {k} needs a block over columns {cut + 1}, {cut + 2} "
+            f"but only {count} columns exist"
+        )
+        return ConstructionStuckError(detail, row=row, col=cut, violation=(k, Violation.GAP_II))
+    first, partner = norms[cut], norms[cut + 1]
+    if partner.numerator * den < r * partner.denominator:
+        detail = f"column {cut + 2} squared norm {partner} < deficit {Fraction(r, den)}"
+        return ConstructionStuckError(
+            detail, row=row, col=cut, violation=(k, Violation.NORM_BOUND_II)
+        )
+    carry = add_ratios(first.numerator, first.denominator, partner.numerator, partner.denominator)
+    carry, carry_den = add_ratios(*carry, -r, den)
+    bound = spec.eigenvalues[k]
+    if carry * bound.denominator <= bound.numerator * carry_den:
+        return None
+    detail = (
+        f"the block over columns {cut + 1}, {cut + 2} puts mass "
+        f"{Fraction(carry, carry_den)} into row {k + 1}, whose eigenvalue is {bound}"
+    )
+    return ConstructionStuckError(detail, row=row, col=cut, violation=(k, Violation.GAP_II))
+
+
+def forced_partition(spec: FrameSpec) -> Partition:
+    """The cuts m_k; raises TraceMismatchError without the trace identity."""
     _require_trace(spec)
-    norm_prefix = list(accumulate(spec.norms_sq, initial=ZERO))
-    cuts = [bisect_right(norm_prefix, level) - 1 for level in accumulate(spec.eigenvalues[:-1])]
-    cuts.append(spec.count)
-    return Partition(tuple(cuts))
+    return Partition(tuple(cut for cut, _, _ in _scan(spec)))
 
 
 def _cursor(spec: FrameSpec):
@@ -146,85 +188,41 @@ def _cursor(spec: FrameSpec):
     positive remainder is closed by a 2x2 block over this row and the
     next.  Yields ``(row, col, None)`` for a singleton at (row, col) and
     ``(row, col, x)`` for a block over rows row, row+1 and columns col,
-    col+1 whose first row squares to x.  Where it sticks it raises
-    ConstructionStuckError with ``violation=(k, condition)``, k = row + 1,
-    and the 0-based cursor of the block that cannot be placed.
-
-    Requires the trace identity: it keeps a block out of the last row and
-    a positive residual from running out of columns.
-
-    The residual mass is ``r / den`` in ints.  A norm whose denominator
-    divides den is taken in by a scaled subtraction; otherwise den grows
-    to the lcm and the pair is reduced.  So den is always the denominator
-    of some reduced residual of this row.  The carry is reduced once per
-    block.  Only a block's x and the stuck details become Fractions.
+    col+1 whose first row squares to x.  Where it sticks it raises the
+    error of :func:`_stuck`.  Requires the trace identity.
     """
-    eigenvalues, norms, count = spec.eigenvalues, spec.norms_sq, spec.count
-    nums = [v.numerator for v in norms]
-    dens = [v.denominator for v in norms]
-    col = 0
-    carry, carry_den = 0, 1  # second-row mass of the block that closed the previous row
-    for row, eigenvalue in enumerate(eigenvalues):
-        r, den = eigenvalue.numerator, eigenvalue.denominator
-        if carry:
-            r, den = add_ratios(r, den, -carry, carry_den)
-        while col < count:
-            num, norm_den = nums[col], dens[col]
-            if num * den > r * norm_den:
-                break
+    start = 0
+    for row, (cut, r, den) in enumerate(_scan(spec)):
+        for col in range(start, cut):
             yield row, col, None
-            if den % norm_den:
-                r, den = add_ratios(r, den, -num, norm_den)
-            else:
-                r -= num * (den // norm_den)
-            col += 1
-        carry = 0
-        if r == 0:
-            continue
-        k = row + 1
-        if col + 1 >= count:
-            detail = (
-                f"row {k} needs a block over columns {col + 1}, {col + 2} "
-                f"but only {count} columns exist"
-            )
-            raise ConstructionStuckError(detail, row=row, col=col, violation=(k, Violation.GAP_II))
-        if nums[col + 1] * den < r * dens[col + 1]:
-            detail = f"column {col + 2} squared norm {norms[col + 1]} < deficit {Fraction(r, den)}"
-            raise ConstructionStuckError(
-                detail, row=row, col=col, violation=(k, Violation.NORM_BOUND_II)
-            )
-        carry, carry_den = add_ratios(nums[col], dens[col], nums[col + 1], dens[col + 1])
-        carry, carry_den = add_ratios(carry, carry_den, -r, den)
-        bound = eigenvalues[k]
-        if carry * bound.denominator > bound.numerator * carry_den:
-            detail = (
-                f"the block over columns {col + 1}, {col + 2} puts mass "
-                f"{Fraction(carry, carry_den)} into row {k + 1}, whose eigenvalue is {bound}"
-            )
-            raise ConstructionStuckError(detail, row=row, col=col, violation=(k, Violation.GAP_II))
-        yield row, col, Fraction(r, den)
-        col += 2
+        start = cut
+        if r:
+            stuck = _stuck(spec, row, cut, r, den)
+            if stuck is not None:
+                raise stuck
+            yield row, cut, Fraction(r, den)
+            start = cut + 2
 
 
 def check_ready(spec: FrameSpec) -> ReadinessReport:
-    """Decide whether the constructor succeeds on this exact ordering."""
+    """Decide whether the constructor succeeds on this exact ordering, in
+    one scan: the partition is read past a stuck row."""
     try:
-        partition = forced_partition(spec)
+        _require_trace(spec)
     except TraceMismatchError as exc:
-        return ReadinessReport(
-            ready=False,
-            partition=None,
-            violation=(0, Violation.TRACE_MISMATCH),
-            detail=str(exc),
-        )
-    try:
-        for _ in _cursor(spec):
-            pass
-    except ConstructionStuckError as exc:
-        return ReadinessReport(
-            ready=False, partition=partition, violation=exc.violation, detail=str(exc)
-        )
-    return ReadinessReport(ready=True, partition=partition, violation=None)
+        violation = (0, Violation.TRACE_MISMATCH)
+        return ReadinessReport(ready=False, partition=None, violation=violation, detail=str(exc))
+    cuts, stuck = [], None
+    for row, (cut, r, den) in enumerate(_scan(spec)):
+        cuts.append(cut)
+        if r and stuck is None:
+            stuck = _stuck(spec, row, cut, r, den)
+    partition = Partition(tuple(cuts))
+    if stuck is None:
+        return ReadinessReport(ready=True, partition=partition, violation=None)
+    return ReadinessReport(
+        ready=False, partition=partition, violation=stuck.violation, detail=str(stuck)
+    )
 
 
 def _require_sorted(values: tuple[Fraction, ...], *, increasing: bool, what: str) -> None:

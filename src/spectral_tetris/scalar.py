@@ -6,8 +6,8 @@ rational radicand.  Rationals are plain :class:`fractions.Fraction` values
 (arbitrary precision, always reduced; division by zero raises the standard
 ``ZeroDivisionError``).  On top of that this module provides:
 
-* :class:`RadicalScalar` -- the entry type, closed under multiplication
-  and negation; its radicand is its exact square.
+* :class:`RadicalScalar` -- the entry type, closed under negation; its
+  radicand is its exact square.
 * :class:`CanonicalRadical` -- ``coefficient * sqrt(squarefree)`` normal
   form, so finite sums of radicals can be tested for exact zero by
   grouping on the square-free part.
@@ -128,11 +128,6 @@ class RadicalScalar:
 
     def is_zero(self) -> bool:
         return self.sign == 0
-
-    def __mul__(self, other: "RadicalScalar") -> "RadicalScalar":
-        if not isinstance(other, RadicalScalar):
-            return NotImplemented
-        return RadicalScalar(self.sign * other.sign, self.radicand * other.radicand)
 
     def __neg__(self) -> "RadicalScalar":
         return RadicalScalar(-self.sign, self.radicand)

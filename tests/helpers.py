@@ -5,13 +5,16 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 
 from spectral_tetris import (
     BlockKind,
     BlockRecord,
     ConstructionStuckError,
     FrameSpec,
+    Partition,
     RadicalScalar,
     SynthesisMatrix,
     Violation,
@@ -45,6 +48,11 @@ def matrix_from_grid(rows) -> SynthesisMatrix:
     return SynthesisMatrix(
         dim=len(rows), count=len(rows[0]), entries=entries, block_log=()
     )
+
+
+def radical_product(a: RadicalScalar, b: RadicalScalar) -> RadicalScalar:
+    """The product of two radicals: signs and radicands multiply."""
+    return RadicalScalar(a.sign * b.sign, a.radicand * b.radicand)
 
 
 def small_fraction(rng: random.Random, top: int = 20) -> Fraction:
@@ -250,3 +258,12 @@ def reference_cursor(spec: FrameSpec):
         yield row, col, residual
         col += 2
 
+
+def reference_partition(spec: FrameSpec) -> Partition:
+    """Reference for ``readiness.forced_partition``: the prefix-sum sandwich
+    ``A(m_k) <= L(k) < A(m_k + 1)`` solved by bisection over Fraction
+    prefix sums; requires the trace identity."""
+    norm_prefix = list(accumulate(spec.norms_sq, initial=Fraction(0)))
+    cuts = [bisect_right(norm_prefix, level) - 1 for level in accumulate(spec.eigenvalues[:-1])]
+    cuts.append(spec.count)
+    return Partition(tuple(cuts))

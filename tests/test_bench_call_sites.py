@@ -30,9 +30,9 @@ def test_pnstc_looks_build_block_up_on_its_module(monkeypatch):
     calls = []
     original = construct.build_block
 
-    def counted(spec):
-        calls.append(spec)
-        return original(spec)
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
 
     monkeypatch.setattr(construct, "build_block", counted)
     pnstc(FrameSpec(eigenvalues=(15, 4, 1, 4), norms_sq=(9, 4, 3, 3, 1, 4)))

@@ -5,23 +5,22 @@ import pytest
 
 from spectral_tetris import (
     BlockInfeasibleError,
-    BlockSpec,
     block_exists,
     build_block,
 )
-from helpers import small_fraction
+from helpers import radical_product, small_fraction
 
 F = Fraction
 
 
 def test_block_exists_examples():
-    assert block_exists(BlockSpec(2, 3, 3)) is True
-    assert block_exists(BlockSpec(2, 3, 1)) is False
-    assert block_exists(BlockSpec(1, 2, 1)) is True
+    assert block_exists(2, 3, 3) is True
+    assert block_exists(2, 3, 1) is False
+    assert block_exists(1, 2, 1) is True
 
 
 def test_build_block_integer_case():
-    block = build_block(BlockSpec(2, 3, 3))
+    block = build_block(2, 3, 3)
     assert block.entries[0][0].radicand == 1
     assert block.entries[0][1].radicand == 1
     assert block.entries[1][0] .radicand == 2
@@ -33,7 +32,7 @@ def test_build_block_integer_case():
 
 
 def test_build_block_equal_masses():
-    block = build_block(BlockSpec(1, 1, 1))
+    block = build_block(1, 1, 1)
     for row in block.entries:
         for entry in row:
             assert entry.radicand == F(1, 2)
@@ -41,7 +40,7 @@ def test_build_block_equal_masses():
 
 
 def test_build_block_degenerate_zero_entry():
-    block = build_block(BlockSpec(1, 2, 1))
+    block = build_block(1, 2, 1)
     signs = [[e.sign for e in row] for row in block.entries]
     squares = [[e.radicand for e in row] for row in block.entries]
     assert signs == [[0, 1], [1, 0]]
@@ -52,7 +51,7 @@ def test_build_block_degenerate_zero_entry():
 
 def test_build_block_zero_second_row_boundary():
     # x = a1+a2 forces the second row to vanish entirely
-    block = build_block(BlockSpec(3, 2, 1))
+    block = build_block(3, 2, 1)
     assert block.zero_second_row
     assert block.row_sums_sq() == (3, 0)
     assert block.col_sums_sq() == (2, 1)
@@ -60,11 +59,19 @@ def test_build_block_zero_second_row_boundary():
 
 def test_build_block_rejects_infeasible():
     with pytest.raises(BlockInfeasibleError) as err:
-        build_block(BlockSpec(2, 3, 1))
+        build_block(2, 3, 1)
     assert err.value.condition == "same-side"
     with pytest.raises(BlockInfeasibleError) as err:
-        build_block(BlockSpec(4, 2, 1))
+        build_block(4, 2, 1)
     assert err.value.condition == "positive-mass"
+
+
+def test_nonpositive_masses_are_a_value_error():
+    for masses in ((0, 1, 1), (1, F(-1, 2), 3), (1, 2, 0)):
+        with pytest.raises(ValueError):
+            block_exists(*masses)
+        with pytest.raises(ValueError):
+            build_block(*masses)
 
 
 def _random_feasible(rng):
@@ -79,7 +86,7 @@ def _random_feasible(rng):
             a2 = x
         if a1 + a2 < x or a2 == 0:
             return None
-    return BlockSpec(x, a1, a2)
+    return x, a1, a2
 
 
 def test_random_feasible_blocks_are_exact():
@@ -87,17 +94,17 @@ def test_random_feasible_blocks_are_exact():
     checked = 0
     while checked < 10_000:
         spec = _random_feasible(rng)
-        if spec is None or not block_exists(spec):
+        if spec is None or not block_exists(*spec):
             continue
-        block = build_block(spec)
-        assert block.col_sums_sq() == (spec.a1_sq, spec.a2_sq)
-        assert block.row_sums_sq() == (spec.x, spec.y)
+        x, a1, a2 = spec
+        block = build_block(x, a1, a2)
+        assert block.col_sums_sq() == (a1, a2)
+        assert block.row_sums_sq() == (x, a1 + a2 - x)
         # cross terms share a radicand and oppose in sign
         top, bottom = block.entries
-        assert (top[0] * bottom[0]).radicand == (top[1] * bottom[1]).radicand
-        assert (top[0] * bottom[0]).sign == -(top[1] * bottom[1]).sign or (
-            (top[0] * bottom[0]).is_zero() and (top[1] * bottom[1]).is_zero()
-        )
+        left, right = radical_product(top[0], bottom[0]), radical_product(top[1], bottom[1])
+        assert left.radicand == right.radicand
+        assert left.sign == -right.sign or (left.is_zero() and right.is_zero())
         checked += 1
 
 
@@ -120,8 +127,7 @@ def test_random_infeasible_blocks_are_refused():
             a2 = x * F(rng.randint(1, 10), 40)
             if a1 + a2 >= x:
                 continue
-        spec = BlockSpec(x, a1, a2)
-        assert not block_exists(spec)
+        assert not block_exists(x, a1, a2)
         with pytest.raises(BlockInfeasibleError):
-            build_block(spec)
+            build_block(x, a1, a2)
         checked += 1

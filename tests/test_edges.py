@@ -408,6 +408,18 @@ def _primes_above(low: int, count: int) -> list[int]:
     return [p for p in range(low + 1, limit + 1) if sieve[p]][:count]
 
 
+def test_cli_check_on_prime_denominators_stays_fast(tmp_path):
+    # eigenvalues and norms^2 2/p over the first 6,000 primes: Fraction
+    # prefix sums would carry the product of the primes as denominator
+    values = [f"2/{p}" for p in _primes_above(1, 6_000)]
+    path = tmp_path / "spec.json"
+    spec = {"dim": len(values), "eigenvalues": values, "norms_squared": values}
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    done = _cli_in_a_child("check", str(path))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("ready (partition 1,2,3,")
+
+
 @pytest.mark.parametrize("dim", [10_000, 1])
 def test_cli_paired_prime_norms_stay_small(tmp_path, dim):
     # norms^2 1/p, (p-1)/p for 20,000 primes p: every row's sum is an

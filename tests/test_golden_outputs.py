@@ -5,9 +5,11 @@ and, when a matrix was built, ``verify`` on it, all in-process through
 ``cli.main``, and compares the sha256 of each command's exit code, stdout,
 stderr and written file with the digest pinned below.  Any change to a
 verdict, a partition, a stuck detail, a matrix entry or a verify sum
-shows here.  A change that alters output on purpose re-pins the digests
-and says why; ``PYTHONPATH=src python tests/test_golden_outputs.py DIR``
-prints them, writing its files in DIR.
+shows here.  For a set of multisets it pins the exit code and stdout of
+``search`` at ``--max-results`` 1 and 16, node counts included.  A
+change that alters output on purpose re-pins the digests and says why;
+``PYTHONPATH=src python tests/test_golden_outputs.py DIR`` prints them,
+writing its files in DIR.
 """
 
 from __future__ import annotations
@@ -57,6 +59,27 @@ def _specs() -> dict[str, dict]:
     return specs
 
 
+def _search_specs() -> dict[str, dict]:
+    families = {  # name: (squared norms, eigenvalues)
+        "tight-four": ("4 4 4 1", "13/3 13/3 13/3"),
+        "five-norm-tight": ("7 7 6 1 1", "22/3 22/3 22/3"),
+        "seven-norm-tight": ("7 7 6 1 1 3 3", "28/3 28/3 28/3"),
+        "three-eigenvalues": ("3 3 2 1", "4 3 2"),
+        "combined": ("210 210 180 30 30 4 4 4 1", "220 220 220 6 4 3"),
+        "trivial-pair": ("1 1", "1 1"),
+        "largest-catalog-infeasible": ("26 20 13 12 7 4 3 3", "24 24 22 18"),
+        "unready-multiset": ("5 1 7 1 2 9 8 8 10", "4 37 3 5 2"),
+    }
+    return {
+        name: {
+            "dim": len(eigenvalues.split()),
+            "eigenvalues": eigenvalues.split(),
+            "norms_squared": norms.split(),
+        }
+        for name, (norms, eigenvalues) in families.items()
+    }
+
+
 def _run(*argv: str) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -80,6 +103,18 @@ def digests(name: str, payload: dict) -> dict[str, str]:
     if text is not None:
         result["verify"] = _digest(*_run("verify", out))
     return result
+
+
+def search_digests(name: str, payload: dict) -> dict[str, str]:
+    """The digest of ``search``'s exit code and stdout on one spec at each
+    result limit, run in the current directory."""
+    Path(f"{name}.json").write_text(json.dumps(payload), encoding="utf-8")
+    return {
+        f"max-results-{limit}": _digest(
+            *_run("search", f"{name}.json", "--max-results", str(limit))[:2]
+        )
+        for limit in (1, 16)
+    }
 
 
 GOLDEN = {
@@ -169,13 +204,58 @@ GOLDEN = {
 }
 
 
+SEARCH_GOLDEN = {
+    "combined": {
+        "max-results-1": "a33480deb193250a870263c5ebb7379590b3bd680b80d44504c96885270391ae",
+        "max-results-16": "eded2cb9adef3498bb67ecdbbf606af2b6279810dbb5f2573381ed26d10ff840",
+    },
+    "five-norm-tight": {
+        "max-results-1": "a6b2f9b41c42c67e29504447f94eb33f46eff92fc1ed66a9fc58528004bcb2ac",
+        "max-results-16": "2e1bc9d5f7bbf9fb009ac809e3d462d3db49574fa33483ed9e86214e45127fd1",
+    },
+    "largest-catalog-infeasible": {
+        "max-results-1": "df8883566c49624e2850701185d2ba03787ba0f6d681047370833562b2aff058",
+        "max-results-16": "df8883566c49624e2850701185d2ba03787ba0f6d681047370833562b2aff058",
+    },
+    "seven-norm-tight": {
+        "max-results-1": "c5e6c4ae40adbea4bf2ff5f8ea700d06865aa2ba5192524f08c2edf38006096d",
+        "max-results-16": "a5e7d8efb0c4e062f87bb049c47d207418a109195849fb7fccbdcf0dab5e998f",
+    },
+    "three-eigenvalues": {
+        "max-results-1": "8cd65a14cd7b02c3a29f038de06231edcf6391066551b5bd13ebd969b33a4146",
+        "max-results-16": "a7a6e226aad27f46181035ec0470dfeba3fff34568ef6ddc88f48d122b9b9272",
+    },
+    "tight-four": {
+        "max-results-1": "926bc10f06388eb5a7030d80a44eb9446a0c0fb2982ff091b9343eb03e2faaa2",
+        "max-results-16": "926bc10f06388eb5a7030d80a44eb9446a0c0fb2982ff091b9343eb03e2faaa2",
+    },
+    "trivial-pair": {
+        "max-results-1": "03a39fc14cec4d5d25976e5a0b4858a613868ae12b37ad57adb1595d5c83e7b2",
+        "max-results-16": "d3787a7aeebc8bd16e40c564690b1812a7841ff17c04e653572446bccbdebab0",
+    },
+    "unready-multiset": {
+        "max-results-1": "68347aac25821744896f0f2e46e1406da2c14ce3e371342cc12c89714bbaf0ee",
+        "max-results-16": "68347aac25821744896f0f2e46e1406da2c14ce3e371342cc12c89714bbaf0ee",
+    },
+}
+
+
 @pytest.mark.parametrize("name", sorted(_specs()))
 def test_outputs_match_the_pinned_digests(tmp_path, monkeypatch, name):
     monkeypatch.chdir(tmp_path)
     assert digests(name, _specs()[name]) == GOLDEN[name]
 
 
+@pytest.mark.parametrize("name", sorted(_search_specs()))
+def test_search_outputs_match_the_pinned_digests(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    assert search_digests(name, _search_specs()[name]) == SEARCH_GOLDEN[name]
+
+
 if __name__ == "__main__":
     os.chdir(sys.argv[1])
     for case, spec_payload in sorted(_specs().items()):
         print(f"    {case!r}: {digests(case, spec_payload)!r},")
+    print("search:")
+    for case, spec_payload in sorted(_search_specs().items()):
+        print(f"    {case!r}: {search_digests(case, spec_payload)!r},")

@@ -25,6 +25,7 @@ from helpers import (
     random_mixed_spec,
     random_ready_spec,
     reference_cursor,
+    reference_partition,
 )
 
 F = Fraction
@@ -235,3 +236,19 @@ def test_integer_cursor_matches_the_fraction_reference():
         assert all(type(x) in (Fraction, type(None)) for _, _, x in outcome[0])
         stuck += outcome[1] is not None
     assert stuck > 100  # both kinds of ending are exercised
+
+
+def test_scan_cuts_match_the_prefix_sum_reference():
+    rng = random.Random(2024)
+    unready = 0
+    for _ in range(2000):
+        spec = random_mixed_spec(rng)
+        if spec.trace_gap() != 0:
+            continue
+        expected = reference_partition(spec).cuts
+        report = check_ready(spec)
+        assert forced_partition(spec).cuts == expected
+        # an unready spec's partition is read past the row it sticks at
+        assert report.partition.cuts == expected
+        unready += not report.ready
+    assert unready > 100

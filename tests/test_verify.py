@@ -16,7 +16,13 @@ from spectral_tetris import (
     verify_matrix,
 )
 from spectral_tetris.verify import _square_sums
-from helpers import cell, matrix_from_grid, random_mixed_spec, random_ready_spec
+from helpers import (
+    cell,
+    matrix_from_grid,
+    radical_product,
+    random_mixed_spec,
+    random_ready_spec,
+)
 
 F = Fraction
 
@@ -156,7 +162,9 @@ def _oracle_exact(matrix) -> bool:
     """Every row pair, every shared column, grouped by square-free part."""
     rows = _rows(matrix)
     return all(
-        not _canonical_sum(rows[i][c] * rows[j][c] for c in rows[i].keys() & rows[j].keys())
+        not _canonical_sum(
+            radical_product(rows[i][c], rows[j][c]) for c in rows[i].keys() & rows[j].keys()
+        )
         for i in range(matrix.dim)
         for j in range(i + 1, matrix.dim)
     )
@@ -191,7 +199,8 @@ def _random_class_matrix(rng: random.Random):
     if len(shared) >= 2 and rng.random() < 0.8:
         last = shared[-1]
         rest = _canonical_sum(
-            RadicalScalar(*rows[0][c]) * RadicalScalar(*rows[1][c]) for c in shared[:-1]
+            radical_product(RadicalScalar(*rows[0][c]), RadicalScalar(*rows[1][c]))
+            for c in shared[:-1]
         )
         if len(rest) == 1:
             # make u * v = -coefficient * sqrt(square_free), u = rows[0][last]
