@@ -251,9 +251,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Built once: parsing reads the parser and mutates only the fresh namespace
+#: it returns, so calls share nothing through it.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

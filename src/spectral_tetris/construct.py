@@ -137,9 +137,17 @@ def pnstc(spec: FrameSpec) -> SynthesisMatrix:
     norms = spec.norms_sq
     entries: list[Entry] = []
     log: list[BlockRecord] = []
+    # one root per distinct squared norm, shared: values are immutable, and
+    # an int pair hashes far faster than a Fraction
+    roots: dict[tuple[int, int], RadicalScalar] = {}
     for row, col, x in _cursor(spec):
         if x is None:
-            entries.append((row, col, RadicalScalar.sqrt(norms[col])))
+            norm = norms[col]
+            key = (norm.numerator, norm.denominator)
+            root = roots.get(key)
+            if root is None:
+                root = roots[key] = RadicalScalar.sqrt(norm)
+            entries.append((row, col, root))
             log.append(BlockRecord(BlockKind.SINGLETON, (row, row), (col, col)))
             continue
         block = build_block(x, norms[col], norms[col + 1])

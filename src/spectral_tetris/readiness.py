@@ -61,9 +61,9 @@ class FrameSpec:
         object.__setattr__(self, "norms_sq", _rational_tuple(self.norms_sq))
         if not self.eigenvalues or not self.norms_sq:
             raise ValueError("eigenvalues and squared norms must be nonempty")
-        if any(v <= 0 for v in self.eigenvalues):
+        if any(v.numerator <= 0 for v in self.eigenvalues):
             raise ValueError("eigenvalues must be positive")
-        if any(v <= 0 for v in self.norms_sq):
+        if any(v.numerator <= 0 for v in self.norms_sq):
             raise ValueError("squared norms must be positive")
 
     @property

@@ -7,7 +7,8 @@ rational radicand.  Rationals are plain :class:`fractions.Fraction` values
 ``ZeroDivisionError``).  On top of that this module provides:
 
 * :class:`RadicalScalar` -- the entry type, closed under negation; its
-  radicand is its exact square.
+  radicand is its exact square.  Validation reads the sign of the
+  radicand off its int numerator, never through a Fraction comparison.
 * :class:`CanonicalRadical` -- ``coefficient * sqrt(squarefree)`` normal
   form, so finite sums of radicals can be tested for exact zero by
   grouping on the square-free part.
@@ -99,11 +100,14 @@ class RadicalScalar:
     def __post_init__(self):
         if self.sign not in (-1, 0, 1):
             raise ValueError(f"sign must be -1, 0 or +1, got {self.sign}")
-        if not isinstance(self.radicand, Fraction):
-            object.__setattr__(self, "radicand", as_rational(self.radicand))
-        if self.radicand < 0:
+        radicand = self.radicand
+        if not isinstance(radicand, Fraction):
+            radicand = as_rational(radicand)
+            object.__setattr__(self, "radicand", radicand)
+        num = radicand.numerator
+        if num < 0:
             raise ValueError("radicand must be nonnegative")
-        if (self.sign == 0) != (self.radicand == 0):
+        if (self.sign == 0) != (num == 0):
             raise ValueError("sign is 0 exactly when the radicand is 0")
 
     @classmethod
@@ -114,17 +118,19 @@ class RadicalScalar:
     def sqrt(cls, value) -> "RadicalScalar":
         """Principal square root of a nonnegative rational."""
         q = as_rational(value)
-        if q < 0:
+        num = q.numerator
+        if num < 0:
             raise ValueError("cannot take the square root of a negative rational")
-        return cls(0 if q == 0 else 1, q)
+        return cls(0 if num == 0 else 1, q)
 
     @classmethod
     def of_rational(cls, value) -> "RadicalScalar":
         """Embed a rational q as sign(q) * sqrt(q^2)."""
         q = as_rational(value)
-        if q == 0:
+        num, den = q.numerator, q.denominator
+        if num == 0:
             return cls.zero()
-        return cls(1 if q > 0 else -1, q * q)
+        return cls(1 if num > 0 else -1, Fraction(num * num, den * den))
 
     def is_zero(self) -> bool:
         return self.sign == 0

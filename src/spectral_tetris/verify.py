@@ -10,12 +10,14 @@ share, so orthogonality walks the column runs of the entries (stored
 sorted by column) and looks only at row pairs that meet in some column:
 O(sum of nnz_c^2) cross terms instead of O(N^2) row pairs.
 
-Exact mode decides each pair's sum of signed radicals without
-factoring.  Square roots of positive rationals from distinct square
-classes are linearly independent over Q (Besicovitch, 1940), and
-sqrt(a), sqrt(b) share a class iff a/b is a rational square, which
-``math.isqrt`` settles on its numerator and denominator.  So a sum is
-zero iff each class's coefficients cancel.  Float mode accumulates the
+Exact mode decides each pair's sum of signed radicals on ints, without
+factoring.  The cross term of the entries sqrt(n1/d1) and sqrt(n2/d2)
+is sqrt(P) / q with P = n1*n2*d1*d2 and q = d1*d2.  Square roots of
+positive rationals from distinct square classes are linearly
+independent over Q (Besicovitch, 1940), and sqrt(P), sqrt(P0) share a
+class iff P*P0 is a perfect square, which one ``math.isqrt`` settles.
+Each class sums its terms as an int ``num / den`` pair, so a sum is
+zero iff every class numerator is 0.  Float mode accumulates the
 same cross terms as doubles, in ascending column order, and compares
 each normalized inner product against a tolerance.  Frame bounds come
 from the row sums once the frame operator is verified diagonal.
@@ -132,52 +134,48 @@ def _columns(matrix: SynthesisMatrix) -> list[Column]:
     return [list(run) for _, run in groupby(matrix.entries, key=itemgetter(1))]
 
 
-def _rational_sqrt(q: Fraction) -> Fraction | None:
-    """sqrt(q) when q >= 0 is a rational square, else None.
+def _radical_sum_is_zero(terms: dict[tuple[int, int], int]) -> bool:
+    """Whether sum(m * sqrt(P) / q) over ``terms`` ((P, q) -> m) is zero.
 
-    A reduced fraction is a square iff its numerator and denominator are.
+    Every P is positive.  Terms are merged into square classes, each with
+    a representative P0: sqrt(P) = isqrt(P * P0) / sqrt(P0) when P * P0
+    is a perfect square.  A class keeps sum(m * isqrt(P * P0) / q) as an
+    int ``num / den`` pair, so the sum is zero iff every class num is 0.
     """
-    num = math.isqrt(q.numerator)
-    den = math.isqrt(q.denominator)
-    if num * num == q.numerator and den * den == q.denominator:
-        return Fraction(num, den)
-    return None
-
-
-def _radical_sum_is_zero(terms: dict[Fraction, int]) -> bool:
-    """Whether sum(m * sqrt(r)) over ``terms`` (radicand r -> m) is zero.
-
-    Terms are merged into square classes, each with a representative
-    radicand: sqrt(r) = sqrt(r / rep) * sqrt(rep) with sqrt(r / rep)
-    rational.  The sum is zero iff every class coefficient is zero.
-    A zero radicand carries multiplicity 0 (a zero entry has sign 0), so
-    dropping zero multiplicities also keeps every representative positive.
-    """
-    classes: list[list] = []  # [representative radicand, coefficient]
-    for radicand, multiplicity in terms.items():
+    classes: list[list[int]] = []  # [P0, num, den]
+    for (product, q), multiplicity in terms.items():
         if multiplicity == 0:
             continue
         for group in classes:
-            root = _rational_sqrt(radicand / group[0])
-            if root is not None:
-                group[1] += multiplicity * root
+            square = product * group[0]
+            root = math.isqrt(square)
+            if root * root == square:
+                num, den = multiplicity * root, group[2]
+                if den % q:
+                    group[1], group[2] = add_ratios(group[1], den, num, q)
+                else:
+                    group[1] += num * (den // q)
                 break
         else:
-            classes.append([radicand, Fraction(multiplicity)])
-    return all(coefficient == 0 for _, coefficient in classes)
+            classes.append([product, multiplicity * product, q])
+    return all(num == 0 for _, num, _ in classes)
 
 
 def _rows_orthogonal_exact(columns: list[Column]) -> bool:
-    # per sharing row pair (i < j): product radicand -> sum of sign products
-    pairs: dict[tuple[int, int], dict[Fraction, int]] = {}
+    # Per sharing row pair (i < j): (P, q) -> sum of sign products.  The
+    # entries sqrt(n1/d1) and sqrt(n2/d2) multiply to sqrt(P) / q with
+    # P = n1*n2*d1*d2 and q = d1*d2.
+    pairs: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
     for column in columns:
-        for a in range(len(column)):
+        for a in range(len(column) - 1):
             row_a, _, left = column[a]
+            n_a, d_a = left.radicand.numerator, left.radicand.denominator
             for row_b, _, right in column[a + 1 :]:
                 key = (row_a, row_b) if row_a < row_b else (row_b, row_a)
                 terms = pairs.setdefault(key, {})
-                radicand = left.radicand * right.radicand
-                terms[radicand] = terms.get(radicand, 0) + left.sign * right.sign
+                q = d_a * right.radicand.denominator
+                term = (n_a * right.radicand.numerator * q, q)
+                terms[term] = terms.get(term, 0) + left.sign * right.sign
     return all(_radical_sum_is_zero(terms) for terms in pairs.values())
 
 

@@ -267,3 +267,39 @@ def reference_partition(spec: FrameSpec) -> Partition:
     cuts = [bisect_right(norm_prefix, level) - 1 for level in accumulate(spec.eigenvalues[:-1])]
     cuts.append(spec.count)
     return Partition(tuple(cuts))
+
+
+def _rational_sqrt(q: Fraction) -> Fraction | None:
+    """sqrt(q) when q >= 0 is a rational square, else None.
+
+    A reduced fraction is a square iff its numerator and denominator are.
+    """
+    num = math.isqrt(q.numerator)
+    den = math.isqrt(q.denominator)
+    if num * num == q.numerator and den * den == q.denominator:
+        return Fraction(num, den)
+    return None
+
+
+def reference_radical_sum_is_zero(terms: dict[Fraction, int]) -> bool:
+    """Reference for ``verify._radical_sum_is_zero`` on Fractions: whether
+    sum(m * sqrt(r)) over ``terms`` (radicand r -> m) is zero.
+
+    Terms are merged into square classes, each with a representative
+    radicand: sqrt(r) = sqrt(r / rep) * sqrt(rep) with sqrt(r / rep)
+    rational.  The sum is zero iff every class coefficient is zero.
+    A zero radicand carries multiplicity 0 (a zero entry has sign 0), so
+    dropping zero multiplicities also keeps every representative positive.
+    """
+    classes: list[list] = []  # [representative radicand, coefficient]
+    for radicand, multiplicity in terms.items():
+        if multiplicity == 0:
+            continue
+        for group in classes:
+            root = _rational_sqrt(radicand / group[0])
+            if root is not None:
+                group[1] += multiplicity * root
+                break
+        else:
+            classes.append([radicand, Fraction(multiplicity)])
+    return all(coefficient == 0 for _, coefficient in classes)

@@ -420,6 +420,19 @@ def test_cli_check_on_prime_denominators_stays_fast(tmp_path):
     assert done.stdout.startswith("ready (partition 1,2,3,")
 
 
+def test_cli_verify_on_many_square_classes_stays_fast(tmp_path):
+    # row 0 holds sqrt(p) over the first 5,000 primes, row 1 all ones: one
+    # row pair with 5,000 square classes, so about 12.5 million class tests
+    primes = _primes_above(1, 5_000)
+    entries = [_entry(0, c, p) for c, p in enumerate(primes)]
+    entries += [_entry(1, c) for c in range(len(primes))]
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({"dim": 2, "count": len(primes), "entries": entries}))
+    done = _cli_in_a_child("verify", str(path))
+    assert done.returncode == 2, done.stderr
+    assert json.loads(done.stdout)["orthogonal"] is False
+
+
 @pytest.mark.parametrize("dim", [10_000, 1])
 def test_cli_paired_prime_norms_stay_small(tmp_path, dim):
     # norms^2 1/p, (p-1)/p for 20,000 primes p: every row's sum is an

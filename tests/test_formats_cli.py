@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from spectral_tetris import FrameSpec, pnstc, verify_matrix
-from spectral_tetris import formats
+from spectral_tetris import cli, formats
 from spectral_tetris.cli import main
 
 F = Fraction
@@ -397,6 +397,30 @@ def test_cli_verify_csv_falls_back_to_float(tmp_path, capsys):
     payload = json.loads(captured.out)
     assert payload["orthogonal"] is True
     assert payload["orthogonalityMode"].startswith("float")
+
+
+def test_cli_calls_share_no_state(tmp_path, capsys, monkeypatch):
+    spec_path = tmp_path / "spec.json"
+    json_path, csv_path = tmp_path / "m.json", tmp_path / "m.csv"
+    write_json(spec_path, DEMO_SPEC)
+    assert main(["construct", str(spec_path), str(json_path), "--float-csv", str(csv_path)]) == 0
+    capsys.readouterr()
+    rebuilt, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: rebuilt.append(1) or build())
+
+    def run(*argv):
+        return main(list(argv)), capsys.readouterr()
+
+    alone = run("verify", str(json_path))
+    assert alone[0] == 0
+    assert json.loads(alone[1].out)["orthogonalityMode"] == "exact"
+    # verify on a CSV rewrites its arguments' mode to float
+    code, captured = run("verify", str(csv_path))
+    assert code == 0 and json.loads(captured.out)["orthogonalityMode"].startswith("float")
+    assert run("verify", str(json_path)) == alone
+    assert run("verify", str(json_path), "--mode", "approximate")[0] == 1
+    assert run("verify", str(json_path)) == alone
+    assert not rebuilt
 
 
 def test_cli_verify_decides_large_prime_radicands_exactly(tmp_path, capsys):

@@ -38,6 +38,14 @@ def test_frame_spec_validation():
         FrameSpec(eigenvalues=(1,), norms_sq=())
 
 
+@pytest.mark.parametrize("bad", [F(0), F(-1, 3), F(-2)])
+def test_frame_spec_rejects_nonpositive_fractions(bad):
+    with pytest.raises(ValueError, match="^eigenvalues must be positive$"):
+        FrameSpec(eigenvalues=(F(1, 2), bad), norms_sq=(F(1, 2),))
+    with pytest.raises(ValueError, match="^squared norms must be positive$"):
+        FrameSpec(eigenvalues=(F(1, 2),), norms_sq=(F(1, 2), bad))
+
+
 def test_forced_partition_examples():
     assert forced_partition(
         FrameSpec(eigenvalues=(15, 4, 1, 4), norms_sq=(9, 4, 3, 3, 1, 4))

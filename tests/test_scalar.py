@@ -73,6 +73,19 @@ def test_radical_invariants():
         RadicalScalar(2, F(1))
     with pytest.raises(ValueError):
         RadicalScalar(1, F(-1))
+    # non-Fraction radicands are coerced first, then checked
+    for sign, radicand, message in (
+        (1, -1, "radicand must be nonnegative"),
+        (1, "-1/2", "radicand must be nonnegative"),
+        (1, 0, "sign is 0 exactly when"),
+        (0, "1/3", "sign is 0 exactly when"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            RadicalScalar(sign, radicand)
+    with pytest.raises(ValueError, match="square root of a negative"):
+        RadicalScalar.sqrt(F(-1, 3))
+    assert RadicalScalar(-1, 2).radicand == F(2)
+    assert type(RadicalScalar(-1, 2).radicand) is F
 
 
 def test_radical_mul_examples():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from helpers import (
     radical_product,
     random_mixed_spec,
     random_ready_spec,
+    reference_radical_sum_is_zero,
 )
 
 F = Fraction
@@ -224,6 +226,64 @@ def test_exact_verdicts_agree_with_a_factoring_oracle():
         verdicts.append(exact)
     # both verdicts are well represented
     assert 300 <= sum(verdicts) <= 2200
+
+
+SQUARE_FREE = (1, 2, 3, 6, 10)
+
+
+def _random_two_row_grid(rng: random.Random):
+    """Two rows of (sign, radicand) cells over the radicands c^2 f / d^2.
+    Often the cell of row 1 in the last shared column is repaired to
+    cancel the other cross terms."""
+    count = rng.randint(2, 6)
+    rows = []  # cells (s, c, d, f), meaning s * sqrt(c^2 f / d^2), or None
+    for _ in range(2):
+        row = [None] * count
+        while all(value is None for value in row):
+            row = [
+                (rng.choice((-1, 1)), rng.randint(1, 12), rng.randint(1, 12), rng.choice(SQUARE_FREE))
+                if rng.random() < 0.8
+                else None
+                for _ in range(count)
+            ]
+        rows.append(row)
+    grid = [
+        [(0, 0) if v is None else (v[0], F(v[1] ** 2 * v[3], v[2] ** 2)) for v in row]
+        for row in rows
+    ]
+    shared = [c for c in range(count) if rows[0][c] and rows[1][c]]
+    if len(shared) >= 2 and rng.random() < 0.8:
+        # the cross term of (s, c, d, f) and (t, e, h, k), with g = gcd(f, k),
+        # is s*t*c*e*g/(d*h) * sqrt(f*k/g^2), and f*k/g^2 is square-free
+        rest: dict[int, Fraction] = {}
+        for col in shared[:-1]:
+            (s, c, d, f), (t, e, h, k) = rows[0][col], rows[1][col]
+            g = math.gcd(f, k)
+            square_free = f * k // (g * g)
+            rest[square_free] = rest.get(square_free, F(0)) + F(s * t * c * e * g, d * h)
+        rest = {key: value for key, value in rest.items() if value}
+        if len(rest) == 1:
+            # make u * v = -coefficient * sqrt(square_free), u the cell of row 0
+            ((square_free, coefficient),) = rest.items()
+            sign, radicand = grid[0][shared[-1]]
+            target = -1 if coefficient > 0 else 1
+            grid[1][shared[-1]] = (target * sign, coefficient**2 * square_free / radicand)
+    return grid
+
+
+def test_exact_verdicts_agree_with_the_fraction_square_classes():
+    rng = random.Random(1313)
+    verdicts = []
+    for _ in range(2000):
+        grid_rows = _random_two_row_grid(rng)
+        terms: dict[Fraction, int] = {}
+        for (s, a), (t, b) in zip(*grid_rows):
+            if s and t:
+                terms[a * b] = terms.get(a * b, 0) + s * t
+        exact = verify_matrix(matrix_from_grid(grid_rows)).orthogonal
+        assert exact == reference_radical_sum_is_zero(terms), grid_rows
+        verdicts.append(exact)
+    assert 400 <= sum(verdicts) <= 1600, sum(verdicts)
 
 
 def test_square_sums_match_fraction_sums():
