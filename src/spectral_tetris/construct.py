@@ -40,7 +40,7 @@ from .readiness import (
     _require_trace,
     _unit_spec,
 )
-from .scalar import ZERO, RadicalScalar
+from .scalar import RadicalScalar, exact_sum
 
 
 class BlockKind(str, Enum):
@@ -272,7 +272,7 @@ def equal_norm_frame(
     if len(values) < 2:
         raise DegenerateSpectrumError("need at least two eigenvalues")
     _require_sorted(values, increasing=False, what="eigenvalues")
-    total = sum(values, ZERO)
+    total = exact_sum(values)
     epsilon = 1 - values[0] / total  # > 0: two or more eigenvalues are positive
     if r_override is not None:
         if r_override < 1:

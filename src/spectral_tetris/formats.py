@@ -31,7 +31,7 @@ from typing import Any
 from . import __version__
 from .construct import MAX_EQUAL_NORM_VECTORS, BlockKind, BlockRecord, SynthesisMatrix
 from .readiness import FrameSpec
-from .scalar import RadicalScalar, format_rational, parse_rational
+from .scalar import RadicalScalar, describe_rational, exact_sum, format_rational, parse_rational
 
 GENERATOR_NAME = "spectral-tetris"
 GENERATOR_VERSION = __version__
@@ -117,13 +117,15 @@ def parse_spec_payload(payload: dict) -> tuple[FrameSpec, list[str]]:
             "decimal norms are a lossy input path; pass norms_squared for exact results",
         )
     else:
-        total = sum(eigenvalues, Fraction(0))
+        total = exact_sum(eigenvalues)
         if total.denominator != 1 or total <= 0:
             raise ValueError(
-                f"unit norms need the eigenvalues to sum to a positive integer, got {total}"
+                "unit norms need the eigenvalues to sum to a positive integer, "
+                f"got {describe_rational(total)}"
             )
         if total > MAX_EQUAL_NORM_VECTORS:  # an equal-norm spec: the same limit
-            raise ValueError(f"{total} unit norms exceed the limit of {MAX_EQUAL_NORM_VECTORS}")
+            limit = MAX_EQUAL_NORM_VECTORS
+            raise ValueError(f"{describe_rational(total)} unit norms exceed the limit of {limit}")
         norms_sq = (Fraction(1),) * int(total)
     return FrameSpec(eigenvalues=eigenvalues, norms_sq=norms_sq), warnings
 

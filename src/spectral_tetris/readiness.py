@@ -17,12 +17,12 @@ the first stuck row in one pass; :func:`_cursor`, which
 up to m_k and a 2x2 block at m_k.  Consecutive cuts may coincide when a
 row completes exactly and the next opens with an immediate block.
 
-The scan runs on ints: d_k = r / den with den bounded by the
-denominators of one row, never by the whole spec.  Fraction prefix sums
-of 2/p over the first 6,000 primes carry the product of the primes.  A
-lift over the lcm of all denominators fails too: with the squared norms
-1/p, (p-1)/p for 20,000 primes p near 10^5 every row sums to an
-integer, yet that lcm has about 340,000 bits.
+The scan runs on ints: d_k = r / den is summed by ``add_ratios``, so
+den is the denominator of d_k, never a product over the whole spec.
+Fraction prefix sums of 2/p over the first 6,000 primes carry the
+product of the primes.  A lift over the lcm of all denominators fails
+too: with the squared norms 1/p, (p-1)/p for 20,000 primes p near 10^5
+every row sums to an integer, yet that lcm has about 340,000 bits.
 
 Also here: the quick sufficient screens for sorted sequences, the
 constant-spectrum (tight) and unit-norm reformulations, and the
@@ -36,7 +36,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import ConstructionStuckError, NotSortedError, TraceMismatchError
-from .scalar import ZERO, add_ratios, as_rational, exact_sum
+from .scalar import ZERO, add_ratios, as_rational, describe_rational, exact_sum
 
 
 def _rational_tuple(values) -> tuple[Fraction, ...]:
@@ -117,17 +117,15 @@ def _require_trace(spec: FrameSpec) -> None:
     norms_total, eigenvalues_total = exact_sum(spec.norms_sq), exact_sum(spec.eigenvalues)
     if norms_total != eigenvalues_total:
         raise TraceMismatchError(
-            f"squared norms sum to {norms_total}, eigenvalues to {eigenvalues_total}"
+            f"squared norms sum to {describe_rational(norms_total)}, "
+            f"eigenvalues to {describe_rational(eigenvalues_total)}"
         )
 
 
 def _scan(spec: FrameSpec):
-    """Yield ``(m_k, r, den)`` per row: the forced cut and d_k = r / den.
-
-    A norm whose denominator divides den is taken in by a scaled
-    subtraction, otherwise the pair is reduced, so den stays the
-    denominator of some reduced residual of the row.  Needs the trace
-    identity for the last cut to be M.
+    """Yield ``(m_k, r, den)`` per row: the forced cut and d_k = r / den,
+    reduced (:func:`~spectral_tetris.scalar.add_ratios`).  Needs the
+    trace identity for the last cut to be M.
     """
     nums = [v.numerator for v in spec.norms_sq]
     dens = [v.denominator for v in spec.norms_sq]
@@ -139,10 +137,7 @@ def _scan(spec: FrameSpec):
             num, norm_den = nums[col], dens[col]
             if num * den > r * norm_den:
                 break
-            if den % norm_den:
-                r, den = add_ratios(r, den, -num, norm_den)
-            else:
-                r -= num * (den // norm_den)
+            r, den = add_ratios(r, den, -num, norm_den)
             col += 1
         yield col, r, den
 
@@ -159,7 +154,8 @@ def _stuck(spec: FrameSpec, row: int, cut: int, r: int, den: int) -> Constructio
         return ConstructionStuckError(detail, row=row, col=cut, violation=(k, Violation.GAP_II))
     first, partner = norms[cut], norms[cut + 1]
     if partner.numerator * den < r * partner.denominator:
-        detail = f"column {cut + 2} squared norm {partner} < deficit {Fraction(r, den)}"
+        deficit = describe_rational(Fraction(r, den))
+        detail = f"column {cut + 2} squared norm {describe_rational(partner)} < deficit {deficit}"
         return ConstructionStuckError(
             detail, row=row, col=cut, violation=(k, Violation.NORM_BOUND_II)
         )
@@ -170,7 +166,8 @@ def _stuck(spec: FrameSpec, row: int, cut: int, r: int, den: int) -> Constructio
         return None
     detail = (
         f"the block over columns {cut + 1}, {cut + 2} puts mass "
-        f"{Fraction(carry, carry_den)} into row {k + 1}, whose eigenvalue is {bound}"
+        f"{describe_rational(Fraction(carry, carry_den))} into row {k + 1}, "
+        f"whose eigenvalue is {describe_rational(bound)}"
     )
     return ConstructionStuckError(detail, row=row, col=cut, violation=(k, Violation.GAP_II))
 
@@ -297,9 +294,11 @@ def tight_ready(norms_sq, dim: int) -> ReadinessReport:
 def _unit_spec(eigenvalues, count: int) -> FrameSpec:
     """The spec with all squared norms 1; requires ``sum(eigenvalues) == count``."""
     values = _rational_tuple(eigenvalues)
-    if sum(values, ZERO) != count:
+    total = exact_sum(values)
+    if total != count:
         raise TraceMismatchError(
-            f"eigenvalues sum to {sum(values)} but {count} unit vectors were requested"
+            f"eigenvalues sum to {describe_rational(total)} "
+            f"but {count} unit vectors were requested"
         )
     return FrameSpec(eigenvalues=values, norms_sq=(Fraction(1),) * count)
 
@@ -324,7 +323,7 @@ def majorizes(eigenvalues, norms_sq) -> bool:
     """
     eig = sorted(_rational_tuple(eigenvalues), reverse=True)
     nsq = sorted(_rational_tuple(norms_sq), reverse=True)
-    if sum(eig, ZERO) != sum(nsq, ZERO):
+    if exact_sum(eig) != exact_sum(nsq):
         return False
     eig_acc = ZERO
     nsq_acc = ZERO

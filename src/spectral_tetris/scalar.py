@@ -14,8 +14,13 @@ rational radicand.  Rationals are plain :class:`fractions.Fraction` values
   grouping on the square-free part.
 * ``to_float`` -- correctly-rounded base conversions composed with an
   IEEE sqrt; relative error at most a few ulp (documented bound: 4 ulp).
-* ``exact_sum`` and ``add_ratios`` -- exact sums of rationals on ints,
-  reducing once per denominator or once per growth of the denominator.
+* ``add_ratios`` -- the one adder of exact sums, on int pairs, by Knuth's
+  rule (TAOCP Vol. 2, 4.5.1) as ``Fraction`` adds: with g = gcd(den,
+  other_den) the cross sum is reduced when g == 1, else only gcd(total, g)
+  can cancel.  So every gcd has an operand no larger than the added term's
+  denominator, and a running sum's den is the denominator of its value.
+  ``exact_sum`` folds it; ``describe_rational`` renders a rational for a
+  message, by its digit counts when it is too long for ``str``.
 """
 
 from __future__ import annotations
@@ -51,27 +56,36 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def exact_sum(values) -> Fraction:
-    """The exact sum of rationals: numerators that share a denominator add
-    as ints, then the few per-denominator totals add as Fractions.
-
-    Adding term by term reduces a Fraction at every step; here the
-    reduction runs once per distinct denominator.
-    """
-    totals: dict[int, int] = {}
-    for value in values:
-        den = value.denominator
-        totals[den] = totals.get(den, 0) + value.numerator
-    return sum((Fraction(num, den) for den, num in totals.items()), ZERO)
+def describe_rational(value: Fraction) -> str:
+    """``format_rational(value)``, or, past the interpreter's limit on the
+    digits of an int as text, the digit counts (log10(2) ~ 0.30103)."""
+    try:
+        return format_rational(value)
+    except ValueError:
+        num, den = value.numerator, value.denominator
+        parts = [abs(num)] + [den] * (den > 1)
+        text = "/".join(f"<about {n.bit_length() * 30103 // 100000 + 1} digits>" for n in parts)
+        return "-" * (num < 0) + text
 
 
 def add_ratios(num: int, den: int, other: int, other_den: int) -> tuple[int, int]:
-    """num/den + other/other_den as a reduced (numerator, denominator) pair
-    of ints, for positive denominators."""
-    common = den * (other_den // math.gcd(den, other_den))
-    total = num * (common // den) + other * (common // other_den)
-    g = math.gcd(total, common)
-    return total // g, common // g
+    """num/den + other/other_den for positive denominators, exactly, as a
+    (numerator, denominator) pair of ints; reduced when both pairs are."""
+    g = math.gcd(den, other_den)
+    if g == 1:
+        return num * other_den + other * den, den * other_den
+    scale = den // g
+    total = num * (other_den // g) + other * scale
+    g = math.gcd(total, g)
+    return total // g, scale * (other_den // g)
+
+
+def exact_sum(values) -> Fraction:
+    """The exact sum of rationals, one :func:`add_ratios` per term."""
+    num, den = 0, 1
+    for value in values:
+        num, den = add_ratios(num, den, value.numerator, value.denominator)
+    return Fraction(num, den)
 
 
 def as_rational(value) -> Fraction:

@@ -1,9 +1,9 @@
 """Verification of synthesis matrices: exact, or float on request.
 
 Row and column squared sums are always exact (sums of radicands).  Each
-row and column keeps a running ``num / den`` of ints, with den bounded
-by the radicands of that one row or column, never by the whole matrix,
-and becomes one Fraction at the end.
+row and column keeps a reduced running ``num / den`` of ints through
+:func:`~spectral_tetris.scalar.add_ratios`, compared with the spec on
+ints and made one Fraction at the end.
 
 Two rows can have a nonzero inner product only through the columns they
 share, so orthogonality walks the column runs of the entries (stored
@@ -40,6 +40,7 @@ from .scalar import canonicalize  # noqa: F401  (bench/tracing.py wraps verify.c
 DEFAULT_FLOAT_TOL = 1e-10
 
 Column = list[Entry]  # the nonzero entries of one column, by row
+Ratio = tuple[int, int]  # (num, den) with den > 0
 
 
 @dataclass(frozen=True)
@@ -96,17 +97,13 @@ def require_nonzero_lines(matrix: SynthesisMatrix) -> None:
         raise ZeroColumnError(f"column {index} is zero; no spec's positive squared norms match it")
 
 
-def _square_sums(matrix: SynthesisMatrix) -> tuple[list[Fraction], list[Fraction]]:
-    """Exact row and column square sums; raises ZeroRowError on a zero row.
+def _square_sums(matrix: SynthesisMatrix) -> tuple[list[Ratio], list[Ratio]]:
+    """Exact row and column square sums as reduced ``add_ratios`` pairs;
+    raises ZeroRowError on a zero row.
 
     A row is zero iff it carries no nonzero entry.  That is tested before
     any list of length ``dim`` is allocated, so a matrix file cannot ask
     for memory by its ``dim`` alone.
-
-    An entry whose denominator divides its row's (or column's) den adds
-    its numerator scaled; otherwise den grows to the lcm and the running
-    sum is reduced.  So den is always the denominator of some reduced
-    partial sum of that row or column.
     """
     _require_rows(matrix)
     row_num, row_den = [0] * matrix.dim, [1] * matrix.dim
@@ -114,19 +111,9 @@ def _square_sums(matrix: SynthesisMatrix) -> tuple[list[Fraction], list[Fraction
     for r, c, value in matrix.entries:
         radicand = value.radicand
         num, den = radicand.numerator, radicand.denominator
-        held = row_den[r]
-        if held % den:
-            row_num[r], row_den[r] = add_ratios(row_num[r], held, num, den)
-        else:
-            row_num[r] += num * (held // den)
-        held = col_den[c]
-        if held % den:
-            col_num[c], col_den[c] = add_ratios(col_num[c], held, num, den)
-        else:
-            col_num[c] += num * (held // den)
-    rows = [Fraction(num, den) for num, den in zip(row_num, row_den)]
-    cols = [Fraction(num, den) for num, den in zip(col_num, col_den)]
-    return rows, cols
+        row_num[r], row_den[r] = add_ratios(row_num[r], row_den[r], num, den)
+        col_num[c], col_den[c] = add_ratios(col_num[c], col_den[c], num, den)
+    return list(zip(row_num, row_den)), list(zip(col_num, col_den))
 
 
 def _columns(matrix: SynthesisMatrix) -> list[Column]:
@@ -139,8 +126,8 @@ def _radical_sum_is_zero(terms: dict[tuple[int, int], int]) -> bool:
 
     Every P is positive.  Terms are merged into square classes, each with
     a representative P0: sqrt(P) = isqrt(P * P0) / sqrt(P0) when P * P0
-    is a perfect square.  A class keeps sum(m * isqrt(P * P0) / q) as an
-    int ``num / den`` pair, so the sum is zero iff every class num is 0.
+    is a perfect square.  A class keeps sum(m * isqrt(P * P0) / q) as
+    an exact int ``num / den``, so the sum is zero iff every num is 0.
     """
     classes: list[list[int]] = []  # [P0, num, den]
     for (product, q), multiplicity in terms.items():
@@ -150,11 +137,7 @@ def _radical_sum_is_zero(terms: dict[tuple[int, int], int]) -> bool:
             square = product * group[0]
             root = math.isqrt(square)
             if root * root == square:
-                num, den = multiplicity * root, group[2]
-                if den % q:
-                    group[1], group[2] = add_ratios(group[1], den, num, q)
-                else:
-                    group[1] += num * (den // q)
+                group[1:] = add_ratios(group[1], group[2], multiplicity * root, q)
                 break
         else:
             classes.append([product, multiplicity * product, q])
@@ -218,7 +201,7 @@ def verify_matrix(
     """
     if tol is not None and not tol >= 0:
         raise ValueError(f"tolerance must be nonnegative, got {tol!r}")
-    row_sums, col_sums = _square_sums(matrix)
+    rows, cols = _square_sums(matrix)
     columns = _columns(matrix)
     if tol is None:
         orthogonal = _rows_orthogonal_exact(columns)
@@ -229,13 +212,14 @@ def verify_matrix(
     matches: bool | None = None
     if spec is not None:
         matches = (
-            tuple(row_sums) == spec.eigenvalues
-            and tuple(col_sums) == spec.norms_sq
+            rows == [(v.numerator, v.denominator) for v in spec.eigenvalues]
+            and cols == [(v.numerator, v.denominator) for v in spec.norms_sq]
             and orthogonal
         )
+    row_sums = tuple(Fraction(num, den) for num, den in rows)
     return VerificationReport(
-        row_square_sums=tuple(row_sums),
-        col_square_sums=tuple(col_sums),
+        row_square_sums=row_sums,
+        col_square_sums=tuple(Fraction(num, den) for num, den in cols),
         orthogonal=orthogonal,
         orthogonality_mode=mode_label,
         nnz=len(matrix.entries),

@@ -130,8 +130,8 @@ def test_cli_unreadable_spec_is_a_usage_error(tmp_path, capsys):
     capsys.readouterr()
 
 
-def _entry(row, col, num=1):
-    return {"row": row, "col": col, "sign": 1, "rad": {"num": num, "den": 1}}
+def _entry(row, col, num=1, den=1):
+    return {"row": row, "col": col, "sign": 1, "rad": {"num": num, "den": den}}
 
 
 _GOOD_MATRIX = {"dim": 2, "count": 2, "entries": [_entry(0, 0), _entry(1, 1)]}
@@ -449,3 +449,70 @@ def test_cli_paired_prime_norms_stay_small(tmp_path, dim):
     built = _cli_in_a_child("construct", str(path), str(tmp_path / "out.json"))
     assert built.returncode == 0, built.stderr
     assert built.stdout.startswith(f"wrote {dim}x40000 matrix (40000 nonzeros)")
+
+
+def _halves_of_primes(count: int) -> list[tuple[int, int]]:
+    # 1/p over the first ``count`` primes, then (p-1)/p over the same primes:
+    # the partial sums of the first half carry the product of the primes
+    primes = _primes_above(1, count)
+    return [(1, p) for p in primes] + [(p - 1, p) for p in primes]
+
+
+def test_cli_verify_sums_a_long_row_of_prime_denominators_fast(tmp_path):
+    # one row of 16,000 entries that sums to 8000: a gcd of two growing
+    # running sums per entry took about a minute
+    entries = [_entry(0, c, num, den) for c, (num, den) in enumerate(_halves_of_primes(8_000))]
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({"dim": 1, "count": len(entries), "entries": entries}))
+    done = _cli_in_a_child("verify", str(path))
+    assert done.returncode == 0, done.stderr
+    payload = json.loads(done.stdout)
+    assert payload["rowSquareSums"] == ["8000"] and payload["orthogonal"] is True
+
+
+def test_cli_check_names_a_deficit_too_long_to_print(tmp_path):
+    # row 1 (eigenvalue 3) takes every 1/p, so the deficits carry the
+    # product of 8,000 primes: more digits than an int may print as text
+    norms = [f"{num}/{den}" for num, den in _halves_of_primes(8_000)]
+    eigenvalues = ["3"] + ["1"] * 7_997
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"dim": 7_998, "eigenvalues": eigenvalues, "norms_squared": norms}))
+    done = _cli_in_a_child("check", str(path))
+    assert done.returncode == 2, done.stderr
+    assert done.stdout.startswith("not ready: violation at k=2: gap-ii ("), done.stdout
+
+
+def test_cli_check_json_reports_a_trace_mismatch_too_long_to_print(tmp_path):
+    # the squared norms sum to a fraction of about 7,500 digits
+    norms = [f"1/{p}" for p in _primes_above(1, 2_000)]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"dim": 1, "eigenvalues": ["1"], "norms_squared": norms}))
+    done = _cli_in_a_child("check", "--json", str(path))
+    assert done.returncode == 1, done.stderr
+    violation = json.loads(done.stdout)["violation"]
+    assert violation["k"] == 0 and violation["condition"] == "trace-mismatch"
+
+
+@pytest.mark.parametrize(
+    "eigenvalues, message",
+    [
+        # a fraction of about 7,500 digits
+        (
+            [f"1/{p}" for p in _primes_above(1, 2_000)],
+            "error: unit norms need the eigenvalues to sum to a positive integer, got <about ",
+        ),
+        # ten printable 4,300-digit integers that sum to 4,301 digits
+        (["9" * 4_300] * 10, "error: <about "),
+    ],
+    ids=["fraction", "integer"],
+)
+def test_cli_unit_spec_names_an_eigenvalue_sum_too_long_to_print(
+    tmp_path, capsys, eigenvalues, message
+):
+    path = tmp_path / "spec.json"
+    spec = {"dim": len(eigenvalues), "eigenvalues": eigenvalues, "unit": True}
+    path.write_text(json.dumps(spec))
+    assert main(["check", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message), captured.err

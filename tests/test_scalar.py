@@ -4,7 +4,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from spectral_tetris import (
@@ -16,7 +16,7 @@ from spectral_tetris import (
     parse_rational,
     to_float,
 )
-from spectral_tetris.scalar import add_ratios, exact_sum
+from spectral_tetris.scalar import add_ratios, describe_rational, exact_sum
 from helpers import radical_product
 
 F = Fraction
@@ -30,6 +30,42 @@ def test_add_ratios_is_the_reduced_sum(a, b):
     total = a + b
     pair = add_ratios(a.numerator, a.denominator, b.numerator, b.denominator)
     assert pair == (total.numerator, total.denominator)
+
+
+_BIG = 1 << 400
+
+
+@st.composite
+def reduced_pairs(draw):
+    """Two reduced (num, den) pairs whose denominators share a drawn factor."""
+    shared = draw(st.one_of(st.just(1), st.integers(2, 60), st.integers(2, _BIG)))
+    pairs = []
+    for _ in range(2):
+        num = draw(st.one_of(st.just(0), st.integers(-30, 30), st.integers(-_BIG, _BIG)))
+        den = shared * draw(st.one_of(st.integers(1, 30), st.integers(1, _BIG)))
+        g = math.gcd(num, den)
+        pairs.append((num // g, den // g))
+    return pairs
+
+
+@example([(1, 6), (1, 6)])  # 2/6: only gcd(total, g) cancels
+@example([(3, 10), (-3, 10)])
+@example([(0, 1), (-5, 7)])
+@given(reduced_pairs())
+def test_add_ratios_keeps_reduced_pairs_reduced(pairs):
+    (num, den), (other, other_den) = pairs
+    total = F(num, den) + F(other, other_den)
+    got = add_ratios(num, den, other, other_den)
+    assert got == (total.numerator, total.denominator)
+    assert got[1] > 0 and math.gcd(*got) == 1
+
+
+def test_describe_rational_gives_digit_counts_past_the_text_limit():
+    assert describe_rational(F(-3, 4)) == "-3/4"
+    assert describe_rational(F(7)) == "7"
+    # 10**5000 and 7**6000 have 5001 and 5071 digits
+    assert describe_rational(F(-(10**5000), 7**6000)) == "-<about 5001 digits>/<about 5071 digits>"
+    assert describe_rational(F(10**5000 + 1)) == "<about 5001 digits>"
 
 
 @given(st.lists(fractions, max_size=20))

@@ -299,6 +299,7 @@ def test_square_sums_match_fraction_sums():
         for r, c, value in matrix.entries:
             rows[r] += value.radicand
             cols[c] += value.radicand
-        assert _square_sums(matrix) == (rows, cols)
+        pairs = [[(v.numerator, v.denominator) for v in sums] for sums in (rows, cols)]
+        assert _square_sums(matrix) == tuple(pairs)
         built += 1
     assert built > 500
