@@ -6,9 +6,10 @@ y = a1^2 + a2^2 - x.  It exists iff a1^2 + a2^2 >= x > 0 and both column
 masses lie on the same side of x.
 
 The masses are ints or Fractions, and a nonpositive one raises
-ValueError.  The checks and the formula run on ints: the three masses are
-lifted to the lcm of their own denominators, so den is bounded by one
-block, and each of the four squared entries becomes one reduced Fraction.
+ValueError.  The checks, the formula and the degeneracy test run on ints:
+the three masses are lifted to the lcm of their own denominators, so den
+is bounded by one block, and each of the four entries is built from its
+int quotient, reduced with one gcd and with no Fraction.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import BlockInfeasibleError
-from .scalar import RadicalScalar
+from .scalar import RadicalScalar, _radical
 
 
 @dataclass(frozen=True)
@@ -98,25 +99,22 @@ def build_block(x, a1_sq, a2_sq) -> Block2x2:
         )
     y = a1 + a2 - x
     if x == y:
-        top = _root(x, 2 * den)
+        top = _radical(1, x, 2 * den)
         return Block2x2(
             entries=((top, top), (top, -top)),
             degenerate=False,
             zero_second_row=False,
         )
+    # scale < 0 when x < y: the quotients stay nonnegative, and _radical
+    # moves the sign off the denominator
     scale = den * (x - y)
-    alpha = _root(x * (a1 - y), scale)
-    beta = _root(x * (x - a1), scale)
-    c_beta = _root(y * (x - a1), scale)
-    c_alpha = _root(y * (a1 - y), scale)
-    cells = (alpha, beta, c_beta, c_alpha)
+    alpha = _radical(1, x * (a1 - y), scale)
+    beta = _radical(1, x * (x - a1), scale)
+    c_beta = _radical(1, y * (x - a1), scale)
+    c_alpha = _radical(1, y * (a1 - y), scale)
     return Block2x2(
         entries=((alpha, beta), (c_beta, -c_alpha)),
-        degenerate=any(c.is_zero() for c in cells),
+        # x > 0, so a cell is zero iff a1 == y, a1 == x or y == 0
+        degenerate=0 in (a1 - y, x - a1, y),
         zero_second_row=(y == 0),
     )
-
-
-def _root(num: int, den: int) -> RadicalScalar:
-    """sqrt(num / den); RadicalScalar rejects a negative quotient."""
-    return RadicalScalar(1 if num else 0, Fraction(num, den))

@@ -21,7 +21,7 @@ from . import formats
 from .construct import equal_norm_frame, pnstc, unit_tight_feasible
 from .errors import ConstructionStuckError, SpectralTetrisError, ZeroColumnError, ZeroRowError
 from .readiness import Violation, check_ready
-from .scalar import format_rational, parse_rational
+from .scalar import describe_rational, format_rational, parse_rational
 from .search import DEFAULT_BUDGET, DEFAULT_MAX_RESULTS, SearchRequest, find_ready_orderings
 from .verify import DEFAULT_FLOAT_TOL, require_nonzero_lines, verify_matrix
 
@@ -161,14 +161,15 @@ def cmd_verify(args) -> int:
     else:  # the metadata block is parsed only when no --spec decides
         spec = formats.spec_from_matrix_metadata(payload)
     report = verify_matrix(matrix, spec, tol=args.tol if args.mode == "float" else None)
+    # a sum too long for str reads "<about D digits>" (describe_rational)
     payload = {
-        "rowSquareSums": [format_rational(v) for v in report.row_square_sums],
-        "colSquareSums": [format_rational(v) for v in report.col_square_sums],
+        "rowSquareSums": [describe_rational(v) for v in report.row_square_sums],
+        "colSquareSums": [describe_rational(v) for v in report.col_square_sums],
         "orthogonal": report.orthogonal,
         "orthogonalityMode": report.orthogonality_mode,
         "nnz": report.nnz,
         "frameBounds": (
-            [format_rational(report.frame_bounds[0]), format_rational(report.frame_bounds[1])]
+            [describe_rational(bound) for bound in report.frame_bounds]
             if report.frame_bounds
             else None
         ),

@@ -95,7 +95,7 @@ class SynthesisMatrix:
             if (row, col) == previous:
                 raise ValueError(f"entry {(row, col)} appears twice")
             previous = (row, col)
-        kept = tuple(entry for entry in ordered if not entry[2].is_zero())
+        kept = tuple(entry for entry in ordered if entry[2].sign)
         object.__setattr__(self, "entries", kept)
 
     def entry(self, row: int, col: int) -> RadicalScalar:

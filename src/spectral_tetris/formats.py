@@ -31,7 +31,14 @@ from typing import Any
 from . import __version__
 from .construct import MAX_EQUAL_NORM_VECTORS, BlockKind, BlockRecord, SynthesisMatrix
 from .readiness import FrameSpec
-from .scalar import RadicalScalar, describe_rational, exact_sum, format_rational, parse_rational
+from .scalar import (
+    RadicalScalar,
+    describe_rational,
+    exact_sum,
+    format_rational,
+    parse_rational,
+    radical_of_ints,
+)
 
 GENERATOR_NAME = "spectral-tetris"
 GENERATOR_VERSION = __version__
@@ -62,11 +69,6 @@ def _parsed_json(what: str):
 
 def canonical_json(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def radical_from_json(payload: dict) -> RadicalScalar:
-    rad = payload["rad"]
-    return RadicalScalar(int(payload["sign"]), Fraction(int(rad["num"]), int(rad["den"])))
 
 
 def _parse_each(literals) -> tuple[Fraction, ...]:
@@ -143,6 +145,9 @@ _ENTRY = (
     '      },\n      "row": %d,\n      "sign": %d\n    }'
 )
 _BLOCK_RECORD = '{\n        "colSpan": %s,\n        "kind": "%s",\n        "rowSpan": %s\n      }'
+# a record whose spans are pairs, as every constructed record's are
+_PAIR = "[\n          %d,\n          %d\n        ]"
+_PAIR_RECORD = _BLOCK_RECORD % (_PAIR, "%s", _PAIR)
 _GENERATOR = '"generator": ' + json.dumps(
     {"name": GENERATOR_NAME, "version": GENERATOR_VERSION}, sort_keys=True, indent=2
 ).replace("\n", "\n    ")
@@ -161,6 +166,13 @@ def _span(span: tuple[int, ...]) -> str:
     return _nested("[]", [str(i) for i in span], "        ")
 
 
+def _record(record: BlockRecord) -> str:
+    rows, cols = record.rows, record.cols
+    if len(rows) == len(cols) == 2:
+        return _PAIR_RECORD % (*cols, record.kind.value, *rows)
+    return _BLOCK_RECORD % (_span(cols), record.kind.value, _span(rows))
+
+
 def _literals(values) -> str:
     # rational literals hold only digits, "-" and "/": nothing to escape
     return _nested("[]", [f'"{format_rational(v)}"' for v in values], "    ")
@@ -173,13 +185,9 @@ def dump_matrix_file(
 ) -> str:
     """The matrix file text: sorted keys, indent 2, as ``canonical_json``."""
     entries = [
-        _ENTRY % (col, value.radicand.denominator, value.radicand.numerator, row, value.sign)
-        for row, col, value in matrix.entries
+        _ENTRY % (col, value.den, value.num, row, value.sign) for row, col, value in matrix.entries
     ]
-    log = [
-        _BLOCK_RECORD % (_span(record.cols), record.kind.value, _span(record.rows))
-        for record in matrix.block_log
-    ]
+    log = [_record(record) for record in matrix.block_log]
     # in sorted key order: blockLog, eigenvalues, generator, norms_squared
     metadata = ['"blockLog": ' + _nested("[]", log, "    ")]
     if spec is not None:
@@ -197,6 +205,9 @@ def dump_matrix_file(
     return _nested("{}", top, "") + "\n"
 
 
+_KINDS = {kind.value: kind for kind in BlockKind}
+
+
 @_parsed_json("matrix file")
 def matrix_from_payload(payload: dict) -> SynthesisMatrix:
     """Build a matrix from a parsed matrix file.
@@ -204,7 +215,8 @@ def matrix_from_payload(payload: dict) -> SynthesisMatrix:
     Raises ValueError unless the payload is an object with ``dim``,
     ``count`` and ``entries``; :class:`SynthesisMatrix` checks the cells.
     Entries with equal raw ``(sign, num, den)`` share one value, built
-    once: values are immutable, and equal raw fields convert equally.
+    once from the ints (:func:`~spectral_tetris.scalar.radical_of_ints`):
+    values are immutable, and equal raw fields convert equally.
     """
     if not isinstance(payload, dict) or not {"dim", "count", "entries"} <= payload.keys():
         raise ValueError("a matrix file is an object with 'dim', 'count' and 'entries'")
@@ -216,13 +228,17 @@ def matrix_from_payload(payload: dict) -> SynthesisMatrix:
         key = (item["sign"], rad["num"], rad["den"])
         value = values.get(key)
         if value is None:
-            value = values[key] = radical_from_json(item)
+            value = values[key] = radical_of_ints(*map(int, key))
         entries.append((row, col, value))
     log = []
     for record in payload.get("metadata", {}).get("blockLog", []):
+        text = record["kind"]
+        kind = _KINDS.get(text) if type(text) is str else None
+        if kind is None:  # BlockKind raises its own error on anything else
+            kind = BlockKind(text)
         log.append(
             BlockRecord(
-                kind=BlockKind(record["kind"]),
+                kind=kind,
                 rows=tuple(map(int, record["rowSpan"])),
                 cols=tuple(map(int, record["colSpan"])),
             )

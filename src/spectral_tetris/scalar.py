@@ -1,18 +1,23 @@
 """Exact scalar layer: reduced rationals and signed square roots of rationals.
 
 Every entry of a synthesis matrix built by this package squares to a
-rational, so entries are stored as ``sign * sqrt(radicand)`` with an exact
-rational radicand.  Rationals are plain :class:`fractions.Fraction` values
-(arbitrary precision, always reduced; division by zero raises the standard
-``ZeroDivisionError``).  On top of that this module provides:
+rational, so entries are stored as ``sign * sqrt(num / den)``: three ints,
+with the exact square reduced.  Rationals elsewhere are plain
+:class:`fractions.Fraction` values (arbitrary precision, always reduced;
+division by zero raises the standard ``ZeroDivisionError``).  On top of
+that this module provides:
 
-* :class:`RadicalScalar` -- the entry type, closed under negation; its
-  radicand is its exact square.  Validation reads the sign of the
-  radicand off its int numerator, never through a Fraction comparison.
+* :class:`RadicalScalar` -- the entry type, an immutable ``__slots__``
+  value of ints ``sign``, ``num`` and ``den``, closed under negation; its
+  ``radicand`` property is the exact square as a Fraction.  The package
+  builds entries from ints through one internal constructor, which
+  reduces them with one gcd, so no Fraction is made per entry;
+  ``radical_of_ints`` does the same for file input, with the checks of
+  the public constructor.
 * :class:`CanonicalRadical` -- ``coefficient * sqrt(squarefree)`` normal
   form, so finite sums of radicals can be tested for exact zero by
   grouping on the square-free part.
-* ``to_float`` -- correctly-rounded base conversions composed with an
+* ``to_float`` -- a correctly-rounded int division composed with an
   IEEE sqrt; relative error at most a few ulp (documented bound: 4 ulp).
 * ``add_ratios`` -- the one adder of exact sums, on int pairs, by Knuth's
   rule (TAOCP Vol. 2, 4.5.1) as ``Fraction`` adds: with g = gcd(den,
@@ -27,7 +32,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 
 from .errors import FactorizationIncompleteError
@@ -99,34 +104,41 @@ def as_rational(value) -> Fraction:
     raise TypeError(f"cannot coerce {type(value).__name__} to a rational")
 
 
-@dataclass(frozen=True)
 class RadicalScalar:
-    """The real number ``sign * sqrt(radicand)``.
+    """The real number ``sign * sqrt(num / den)``, held as three ints.
 
-    Invariants: ``sign in {-1, 0, +1}``, ``radicand >= 0`` and
-    ``sign == 0`` exactly when ``radicand == 0``.  Equal field values are
-    equal reals and vice versa, so dataclass equality is value equality.
+    Invariants: ``sign in {-1, 0, +1}``, ``num >= 0``, ``den > 0``,
+    ``gcd(num, den) == 1`` and ``sign == 0`` exactly when ``num == 0``
+    (zero is ``0 * sqrt(0/1)``).  Equal fields are equal reals and vice
+    versa, so field equality is value equality.  Instances are immutable
+    and hashable.  ``RadicalScalar(sign, radicand)`` takes the radicand as
+    a rational (int, literal or Fraction) and checks it; the package's own
+    constructors build from ints, with no Fraction.
     """
 
-    sign: int
-    radicand: Fraction
+    __slots__ = ("sign", "num", "den")
 
-    def __post_init__(self):
-        if self.sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0 or +1, got {self.sign}")
-        radicand = self.radicand
-        if not isinstance(radicand, Fraction):
-            radicand = as_rational(radicand)
-            object.__setattr__(self, "radicand", radicand)
+    def __init__(self, sign: int, radicand) -> None:
+        if sign not in (-1, 0, 1):
+            raise ValueError(f"sign must be -1, 0 or +1, got {sign}")
+        radicand = as_rational(radicand)
         num = radicand.numerator
         if num < 0:
             raise ValueError("radicand must be nonnegative")
-        if (self.sign == 0) != (num == 0):
+        if (sign == 0) != (num == 0):
             raise ValueError("sign is 0 exactly when the radicand is 0")
+        _set_sign(self, sign)
+        _set_num(self, num)
+        _set_den(self, radicand.denominator)
+
+    @property
+    def radicand(self) -> Fraction:
+        """The exact square, ``num / den``."""
+        return Fraction(self.num, self.den)
 
     @classmethod
     def zero(cls) -> "RadicalScalar":
-        return cls(0, ZERO)
+        return _radical(0, 0, 1)
 
     @classmethod
     def sqrt(cls, value) -> "RadicalScalar":
@@ -135,22 +147,37 @@ class RadicalScalar:
         num = q.numerator
         if num < 0:
             raise ValueError("cannot take the square root of a negative rational")
-        return cls(0 if num == 0 else 1, q)
+        return _radical(1, num, q.denominator)
 
     @classmethod
     def of_rational(cls, value) -> "RadicalScalar":
         """Embed a rational q as sign(q) * sqrt(q^2)."""
         q = as_rational(value)
         num, den = q.numerator, q.denominator
-        if num == 0:
-            return cls.zero()
-        return cls(1 if num > 0 else -1, Fraction(num * num, den * den))
+        return _radical(1 if num > 0 else -1, num * num, den * den)
 
     def is_zero(self) -> bool:
         return self.sign == 0
 
     def __neg__(self) -> "RadicalScalar":
-        return RadicalScalar(-self.sign, self.radicand)
+        return _radical(-self.sign, self.num, self.den)
+
+    def __eq__(self, other):
+        if other.__class__ is not RadicalScalar:
+            return NotImplemented
+        return self.sign == other.sign and self.num == other.num and self.den == other.den
+
+    def __hash__(self) -> int:
+        return hash((self.sign, self.num, self.den))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _radical, (self.sign, self.num, self.den)
 
     def __float__(self) -> float:
         return to_float(self)
@@ -159,25 +186,73 @@ class RadicalScalar:
         if self.sign == 0:
             return "0"
         prefix = "-" if self.sign < 0 else ""
-        return f"{prefix}sqrt({format_rational(self.radicand)})"
+        text = str(self.num) if self.den == 1 else f"{self.num}/{self.den}"
+        return f"{prefix}sqrt({text})"
+
+
+# The slot setters write past the refusing ``__setattr__``.
+_set_sign = RadicalScalar.sign.__set__
+_set_num = RadicalScalar.num.__set__
+_set_den = RadicalScalar.den.__set__
+_new = object.__new__
+
+
+def _radical(sign: int, num: int, den: int) -> RadicalScalar:
+    """``sign * sqrt(num / den)`` from ints, the one internal constructor.
+
+    ``den`` is nonzero, of either sign; ``sign`` is the sign of the value
+    when the quotient is nonzero and ignored when it is zero.  A negative
+    quotient raises ValueError.  The fields are reduced with one gcd;
+    gcd(0, den) == den makes a zero 0/1.
+    """
+    if den < 0:
+        num, den = -num, -den
+    if num < 0:
+        raise ValueError("radicand must be nonnegative")
+    g = math.gcd(num, den)
+    if g != 1:
+        num //= g
+        den //= g
+    value = _new(RadicalScalar)
+    _set_sign(value, sign if num else 0)
+    _set_num(value, num)
+    _set_den(value, den)
+    return value
+
+
+def radical_of_ints(sign: int, num: int, den: int) -> RadicalScalar:
+    """``RadicalScalar(sign, Fraction(num, den))``, built from the ints.
+
+    A nonzero sign with a positive num and den never makes a Fraction;
+    any other ints take that Fraction path, with its checks and errors
+    (ZeroDivisionError for den 0, ValueError for a bad sign or quotient).
+    """
+    if num > 0 and den > 0 and sign in (1, -1):
+        return _radical(sign, num, den)
+    return RadicalScalar(sign, Fraction(num, den))
 
 
 def to_float(a: RadicalScalar) -> float:
-    """Nearest double to sign * sqrt(radicand).
+    """Nearest double to sign * sqrt(num / den).
 
-    ``float(Fraction)`` is correctly rounded and ``math.sqrt`` is an IEEE
-    correctly-rounded sqrt, so the composition is within 4 ulp.  A
-    radicand beyond the normal double range (it would overflow, or lose
-    bits to underflow) while its root may not be is scaled by a power of
-    4 first; inside the range that scaling is exact, so nothing changes.
+    ``num / den`` on ints is correctly rounded, as ``float(Fraction)`` is,
+    and ``math.sqrt`` is an IEEE correctly-rounded sqrt, so the
+    composition is within 4 ulp.  A radicand beyond the normal double
+    range (it would overflow, or lose bits to underflow) while its root
+    may not be is scaled by a power of 4 first, a shift of num or den;
+    inside the range that scaling is exact, so nothing changes.
     """
     if a.sign == 0:
         return 0.0
-    q = a.radicand
-    half = (q.numerator.bit_length() - q.denominator.bit_length()) // 2
+    num, den = a.num, a.den
+    half = (num.bit_length() - den.bit_length()) // 2
     if abs(half) < 500:  # 2**-1002 < q < 2**1001
-        return a.sign * math.sqrt(float(q))
-    return a.sign * math.ldexp(math.sqrt(float(q / Fraction(4) ** half)), half)
+        return a.sign * math.sqrt(num / den)
+    if half > 0:
+        scaled = num / (den << 2 * half)
+    else:
+        scaled = (num << -2 * half) / den
+    return a.sign * math.ldexp(math.sqrt(scaled), half)
 
 
 @dataclass(frozen=True)
@@ -261,8 +336,7 @@ def canonicalize(a: RadicalScalar, factor_bound: int = DEFAULT_FACTOR_BOUND) -> 
         raise ValueError("factor bound must be at least 2")
     if a.sign == 0:
         return CanonicalRadical(ZERO, 1)
-    p = a.radicand.numerator
-    q = a.radicand.denominator
+    p, q = a.num, a.den
     sp, fp = _extract_square(p, factor_bound)
     sq, fq = _extract_square(q, factor_bound)
     coefficient = Fraction(a.sign * sp, sq * fq)

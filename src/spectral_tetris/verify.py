@@ -1,9 +1,10 @@
 """Verification of synthesis matrices: exact, or float on request.
 
-Row and column squared sums are always exact (sums of radicands).  Each
-row and column keeps a reduced running ``num / den`` of ints through
-:func:`~spectral_tetris.scalar.add_ratios`, compared with the spec on
-ints and made one Fraction at the end.
+Row and column squared sums are always exact (sums of the entries'
+int ``num / den`` squares).  Each row and column keeps a reduced running
+``num / den`` of ints through :func:`~spectral_tetris.scalar.add_ratios`,
+compared with the spec on ints; the report makes one Fraction per
+distinct sum.
 
 Two rows can have a nonzero inner product only through the columns they
 share, so orthogonality walks the column runs of the entries (stored
@@ -109,8 +110,7 @@ def _square_sums(matrix: SynthesisMatrix) -> tuple[list[Ratio], list[Ratio]]:
     row_num, row_den = [0] * matrix.dim, [1] * matrix.dim
     col_num, col_den = [0] * matrix.count, [1] * matrix.count
     for r, c, value in matrix.entries:
-        radicand = value.radicand
-        num, den = radicand.numerator, radicand.denominator
+        num, den = value.num, value.den
         row_num[r], row_den[r] = add_ratios(row_num[r], row_den[r], num, den)
         col_num[c], col_den[c] = add_ratios(col_num[c], col_den[c], num, den)
     return list(zip(row_num, row_den)), list(zip(col_num, col_den))
@@ -152,12 +152,12 @@ def _rows_orthogonal_exact(columns: list[Column]) -> bool:
     for column in columns:
         for a in range(len(column) - 1):
             row_a, _, left = column[a]
-            n_a, d_a = left.radicand.numerator, left.radicand.denominator
+            n_a, d_a = left.num, left.den
             for row_b, _, right in column[a + 1 :]:
                 key = (row_a, row_b) if row_a < row_b else (row_b, row_a)
                 terms = pairs.setdefault(key, {})
-                q = d_a * right.radicand.denominator
-                term = (n_a * right.radicand.numerator * q, q)
+                q = d_a * right.den
+                term = (n_a * right.num * q, q)
                 terms[term] = terms.get(term, 0) + left.sign * right.sign
     return all(_radical_sum_is_zero(terms) for terms in pairs.values())
 
@@ -216,13 +216,15 @@ def verify_matrix(
             and cols == [(v.numerator, v.denominator) for v in spec.norms_sq]
             and orthogonal
         )
-    row_sums = tuple(Fraction(num, den) for num, den in rows)
+    # one Fraction per distinct sum, shared: Fractions are immutable
+    made = {pair: Fraction(*pair) for pair in {*rows, *cols}}
+    distinct_rows = [made[pair] for pair in set(rows)]
     return VerificationReport(
-        row_square_sums=row_sums,
-        col_square_sums=tuple(Fraction(num, den) for num, den in cols),
+        row_square_sums=tuple(map(made.__getitem__, rows)),
+        col_square_sums=tuple(map(made.__getitem__, cols)),
         orthogonal=orthogonal,
         orthogonality_mode=mode_label,
         nnz=len(matrix.entries),
-        frame_bounds=(min(row_sums), max(row_sums)) if orthogonal else None,
+        frame_bounds=(min(distinct_rows), max(distinct_rows)) if orthogonal else None,
         matches_spec=matches,
     )

@@ -20,7 +20,7 @@ from spectral_tetris import (
     Violation,
     format_rational,
 )
-from spectral_tetris.formats import GENERATOR_NAME, GENERATOR_VERSION, radical_from_json
+from spectral_tetris.formats import GENERATOR_NAME, GENERATOR_VERSION
 
 
 def grid(matrix: SynthesisMatrix) -> list[list[tuple[int, Fraction]]]:
@@ -187,11 +187,19 @@ def matrix_to_payload(
     }
 
 
+def radical_via_fraction(item: dict) -> RadicalScalar:
+    """Reference for a matrix-file entry's value: one Fraction and the
+    public constructor's checks."""
+    rad = item["rad"]
+    return RadicalScalar(int(item["sign"]), Fraction(int(rad["num"]), int(rad["den"])))
+
+
 def matrix_from_payload_per_entry(payload: dict) -> SynthesisMatrix:
-    """Reference for ``formats.matrix_from_payload``: one ``radical_from_json``
-    per entry, no sharing, and the library's own exceptions unwrapped."""
+    """Reference for ``formats.matrix_from_payload``: one
+    ``radical_via_fraction`` per entry, no sharing, and the library's own
+    exceptions unwrapped."""
     entries = [
-        (int(item["row"]), int(item["col"]), radical_from_json(item))
+        (int(item["row"]), int(item["col"]), radical_via_fraction(item))
         for item in payload["entries"]
     ]
     log = tuple(

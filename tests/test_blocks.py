@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from spectral_tetris import (
     BlockInfeasibleError,
@@ -106,6 +109,32 @@ def test_random_feasible_blocks_are_exact():
         assert left.radicand == right.radicand
         assert left.sign == -right.sign or (left.is_zero() and right.is_zero())
         checked += 1
+
+
+MASSES = st.fractions(min_value=F(1, 10**6), max_value=10**6, max_denominator=10**6)
+
+
+@example(a1=F(2), a2=F(3), share=F(1, 2), above=True)  # x = 1 < y = 4
+@example(a1=F(3), a2=F(3), share=F(1), above=True)  # x = 3 = y
+@example(a1=F(1, 3), a2=F(1, 2), share=F(0), above=False)  # x = a2: degenerate
+@example(a1=F(1, 3), a2=F(1, 2), share=F(1), above=False)  # y = 0
+@given(a1=MASSES, a2=MASSES, share=st.fractions(0, 1), above=st.booleans())
+def test_block_cells_keep_reduced_fields(a1, a2, share, above):
+    # x <= min(a1, a2) puts both columns above x, and then x <= y; x in
+    # [max, a1 + a2] puts both below, and then x >= y
+    low, high = min(a1, a2), max(a1, a2)
+    x = low * share if above else high + low * share
+    if x == 0:
+        x = low
+    block = build_block(x, a1, a2)
+    cells = [value for row in block.entries for value in row]
+    for value in cells:
+        assert value.den > 0 and math.gcd(value.num, value.den) == 1
+        assert (value.sign == 0) == (value.num == 0)
+        assert value.radicand == F(value.num, value.den)
+    assert block.degenerate == any(value.is_zero() for value in cells)
+    assert block.col_sums_sq() == (a1, a2)
+    assert block.row_sums_sq() == (x, a1 + a2 - x)
 
 
 def test_random_infeasible_blocks_are_refused():

@@ -181,6 +181,45 @@ def test_cli_malformed_matrix_file_is_a_one_line_usage_error(tmp_path, capsys, n
     assert phrase in captured.err
 
 
+# name -> (fields over _GOOD_MATRIX, the whole stderr of `verify`)
+_PINNED_MATRIX_ERRORS = {
+    "unknown-kind": (
+        {"metadata": {"blockLog": [{"kind": "bogus", "rowSpan": [0, 0], "colSpan": [0, 0]}]}},
+        "error: 'bogus' is not a valid BlockKind\n",
+    ),
+    "zero-denominator": (
+        {"entries": [_entry(0, 0, 3, 0), _entry(1, 1)]},
+        "error: malformed matrix file: ZeroDivisionError('Fraction(3, 0)')\n",
+    ),
+    "negative-denominator": (
+        {"entries": [_entry(0, 0, 1, -2), _entry(1, 1)]},
+        "error: radicand must be nonnegative\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_MATRIX_ERRORS))
+def test_cli_matrix_file_value_errors_are_pinned(tmp_path, capsys, name):
+    fields, stderr = _PINNED_MATRIX_ERRORS[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({**_GOOD_MATRIX, **fields}), encoding="utf-8")
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr() == ("", stderr)
+
+
+def test_cli_unreduced_entries_verify_as_their_reduced_form(tmp_path, capsys):
+    # 2/4 and -3/-6 (a negative den over a negative num) both reduce to 1/2
+    outputs = []
+    for name, rads in (("reduced", [(1, 2), (1, 2)]), ("unreduced", [(2, 4), (-3, -6)])):
+        entries = [_entry(i, i, num, den) for i, (num, den) in enumerate(rads)]
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**_GOOD_MATRIX, "entries": entries}), encoding="utf-8")
+        assert main(["verify", str(path)]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[1] == outputs[0]
+    assert json.loads(outputs[0].out)["rowSquareSums"] == ["1/2", "1/2"]
+
+
 def test_cli_usage_errors_exit_one(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(
@@ -468,6 +507,20 @@ def test_cli_verify_sums_a_long_row_of_prime_denominators_fast(tmp_path):
     assert done.returncode == 0, done.stderr
     payload = json.loads(done.stdout)
     assert payload["rowSquareSums"] == ["8000"] and payload["orthogonal"] is True
+
+
+def test_cli_verify_names_a_sum_too_long_to_print(tmp_path):
+    # one row of 1/p over the first 4,000 primes: the row sum has more
+    # digits than an int may print as text
+    entries = [_entry(0, c, 1, p) for c, p in enumerate(_primes_above(1, 4_000))]
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({"dim": 1, "count": len(entries), "entries": entries}))
+    done = _cli_in_a_child("verify", str(path))
+    assert done.returncode == 0, done.stderr
+    payload = json.loads(done.stdout)
+    total = "<about 16341 digits>/<about 16341 digits>"
+    assert payload["rowSquareSums"] == [total] and payload["frameBounds"] == [total, total]
+    assert payload["colSquareSums"][:3] == ["1/2", "1/3", "1/5"]
 
 
 def test_cli_check_names_a_deficit_too_long_to_print(tmp_path):

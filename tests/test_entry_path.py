@@ -1,0 +1,38 @@
+"""The construct -> dump -> load -> verify path carries each entry as the
+three ints of ``RadicalScalar``, so it makes no Fraction per entry or per
+row or column sum.  Counted, not timed: a Fraction made per entry again
+would add about three per column."""
+
+import json
+from fractions import Fraction
+
+import pytest
+
+from spectral_tetris import BlockKind, FrameSpec, formats, pnstc, verify_matrix
+
+
+@pytest.mark.parametrize("dim", [100, 300])
+def test_unit_tight_pipeline_makes_about_one_fraction_per_block(monkeypatch, dim):
+    count = 2 * dim - 1
+    spec = FrameSpec(eigenvalues=(Fraction(count, dim),) * dim, norms_sq=(Fraction(1),) * count)
+    original = Fraction.__new__
+    made = 0
+
+    def counted(cls, *args, **kwargs):
+        nonlocal made
+        made += 1
+        return original(cls, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Fraction, "__new__", counted)
+        matrix = pnstc(spec)
+        text = formats.dump_matrix_file(matrix, spec)
+    payload = json.loads(text)  # the JSON parser makes no Fraction
+    with monkeypatch.context() as patch:
+        patch.setattr(Fraction, "__new__", counted)
+        report = verify_matrix(formats.matrix_from_payload(payload), spec)
+    assert report.matches_spec
+    blocks = sum(record.kind is not BlockKind.SINGLETON for record in matrix.block_log)
+    assert blocks == dim - 1
+    # the cursor's one first-row mass per block, and a few for the totals
+    assert made <= blocks + 8, made

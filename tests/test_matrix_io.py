@@ -3,8 +3,9 @@
 ``formats.dump_matrix_file`` renders the file directly; it must equal
 ``canonical_json`` (sorted keys, indent 2) of the payload that
 ``helpers.matrix_to_payload`` builds, byte for byte.  The loader shares
-one value among entries with equal raw fields; it must accept, reject
-and build exactly what one ``radical_from_json`` per entry does.  The
+one value among entries with equal raw fields and builds it from ints;
+it must accept, reject and build exactly what one Fraction per entry
+(``helpers.radical_via_fraction``) does.  The
 spec and metadata parsers parse each distinct literal once; they must
 give what one ``parse_rational`` per literal gives.
 """

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -16,7 +18,7 @@ from spectral_tetris import (
     parse_rational,
     to_float,
 )
-from spectral_tetris.scalar import add_ratios, describe_rational, exact_sum
+from spectral_tetris.scalar import add_ratios, describe_rational, exact_sum, radical_of_ints
 from helpers import radical_product
 
 F = Fraction
@@ -122,6 +124,61 @@ def test_radical_invariants():
         RadicalScalar.sqrt(F(-1, 3))
     assert RadicalScalar(-1, 2).radicand == F(2)
     assert type(RadicalScalar(-1, 2).radicand) is F
+
+
+def test_radical_scalar_is_an_immutable_value():
+    value = RadicalScalar(-1, F(2, 3))
+    assert (value.sign, value.num, value.den) == (-1, 2, 3)
+    for name in ("sign", "num", "den", "radicand", "other"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert (value.sign, value.num, value.den) == (-1, 2, 3)
+    twin = -RadicalScalar.sqrt("4/6")
+    assert twin == value and hash(twin) == hash(value) and twin is not value
+    assert len({value, twin, RadicalScalar(1, F(2, 3))}) == 2
+    assert value != RadicalScalar(1, F(2, 3)) and value != (-1, 2, 3)
+    assert type(value.radicand) is F and value.radicand == F(value.num, value.den)
+    for clone in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert clone == value and hash(clone) == hash(value)
+
+
+def _assert_reduced(value: RadicalScalar) -> None:
+    assert value.den > 0 and math.gcd(value.num, value.den) == 1
+    assert value.sign in (-1, 0, 1) and (value.sign == 0) == (value.num == 0)
+    assert type(value.radicand) is F and value.radicand == F(value.num, value.den)
+
+
+@given(st.fractions(min_value=-(10**9), max_value=10**9, max_denominator=10**9))
+def test_constructors_and_negation_keep_the_fields_reduced(q):
+    built = [RadicalScalar.of_rational(q)]
+    if q >= 0:
+        built.append(RadicalScalar.sqrt(q))
+        assert (built[-1].num, built[-1].den) == (q.numerator, q.denominator)
+    for value in built:
+        for each in (value, -value, -(-value)):
+            _assert_reduced(each)
+        assert -(-value) == value
+    assert built[0].radicand == q * q and built[0].sign == (q > 0) - (q < 0)
+
+
+# Raw ints a matrix file may carry: zero, negative and unreduced fields.
+SMALL = st.integers(-4, 6)
+
+
+@given(SMALL, SMALL, SMALL)
+def test_radical_of_ints_is_the_fraction_path(sign, num, den):
+    def outcome(build):
+        try:
+            return build()
+        except (ValueError, ZeroDivisionError) as exc:
+            return type(exc), str(exc)
+
+    got = outcome(lambda: radical_of_ints(sign, num, den))
+    assert got == outcome(lambda: RadicalScalar(sign, F(num, den)))
+    if isinstance(got, RadicalScalar):
+        _assert_reduced(got)
 
 
 def test_radical_mul_examples():
