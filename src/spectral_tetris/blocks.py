@@ -10,6 +10,10 @@ ValueError.  The checks, the formula and the degeneracy test run on ints:
 the three masses are lifted to the lcm of their own denominators, so den
 is bounded by one block, and each of the four entries is built from its
 int quotient, reduced with one gcd and with no Fraction.
+
+:func:`~spectral_tetris.construct.pnstc` calls :func:`build_block` once
+per distinct (x, a1^2, a2^2) of a matrix, with x made from the cursor's
+int pair, and reuses the block's immutable cells wherever it repeats.
 """
 
 from __future__ import annotations
@@ -34,15 +38,6 @@ class Block2x2:
     entries: tuple[tuple[RadicalScalar, RadicalScalar], tuple[RadicalScalar, RadicalScalar]]
     degenerate: bool
     zero_second_row: bool
-
-    def row_sums_sq(self) -> tuple[Fraction, Fraction]:
-        return tuple(e[0].radicand + e[1].radicand for e in self.entries)  # type: ignore[return-value]
-
-    def col_sums_sq(self) -> tuple[Fraction, Fraction]:
-        return (
-            self.entries[0][0].radicand + self.entries[1][0].radicand,
-            self.entries[0][1].radicand + self.entries[1][1].radicand,
-        )
 
 
 def _lifted(x, a1_sq, a2_sq) -> tuple[int, int, int, int]:

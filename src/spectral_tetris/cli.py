@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import json
 import os
 import sys
 
@@ -152,8 +151,7 @@ def cmd_verify(args) -> int:
             args.mode = "float"
         payload = {}  # a CSV has no metadata block
     else:
-        with open(args.matrix, encoding="utf-8") as handle:
-            payload = json.load(handle)
+        payload = formats.load_json_file(args.matrix, "matrix file")
         matrix = formats.matrix_from_payload(payload)
         require_nonzero_lines(matrix)  # before anything is allocated by the file's count
     if args.spec:

@@ -9,6 +9,13 @@ longer does.  ``pnstc`` only turns the cursor's placements into entries,
 so it succeeds exactly when :func:`~spectral_tetris.readiness.check_ready`
 accepts the ordering, and otherwise stops with the same violation.
 
+The cursor gives a block's first-row mass as an int pair, and a block is
+fixed by that mass and its two columns' squared norms.  ``pnstc`` builds
+each distinct block once (:func:`~spectral_tetris.blocks.build_block`)
+and reuses its cells: equal-norm and tight specs repeat the same few
+blocks, e.g. at most L - 1 distinct ones for unit norms at redundancy
+(2L-1)/L.
+
 ``stc`` is the unit-norm specialization; ``unit_tight`` the unit-norm
 tight constructor with its closed-form feasibility test (redundancy >= 2,
 or reduced redundancy of the form (2L-1)/L); ``equal_norm_frame`` runs
@@ -134,27 +141,38 @@ def pnstc(spec: FrameSpec) -> SynthesisMatrix:
     failure :func:`check_ready` reports.
     """
     _require_trace(spec)
-    norms = spec.norms_sq
+    norms, pairs = spec.norms_sq, spec._norm_pairs
     entries: list[Entry] = []
     log: list[BlockRecord] = []
-    # one root per distinct squared norm, shared: values are immutable, and
-    # an int pair hashes far faster than a Fraction
+    # One root per distinct squared norm and one block per distinct
+    # (x, a1^2, a2^2), shared: values are immutable, and int pairs hash
+    # far faster than Fractions.  A block is its cells in column order
+    # and its kind.
     roots: dict[tuple[int, int], RadicalScalar] = {}
+    blocks: dict[tuple, tuple] = {}
     for row, col, x in _cursor(spec):
         if x is None:
-            norm = norms[col]
-            key = (norm.numerator, norm.denominator)
-            root = roots.get(key)
+            pair = pairs[col]
+            root = roots.get(pair)
             if root is None:
-                root = roots[key] = RadicalScalar.sqrt(norm)
+                root = roots[pair] = RadicalScalar.sqrt(norms[col])
             entries.append((row, col, root))
             log.append(BlockRecord(BlockKind.SINGLETON, (row, row), (col, col)))
             continue
-        block = build_block(x, norms[col], norms[col + 1])
-        for dc in (0, 1):
-            for dr in (0, 1):
-                entries.append((row + dr, col + dc, block.entries[dr][dc]))
-        kind = BlockKind.DEGENERATE_BLOCK if block.degenerate else BlockKind.BLOCK_2X2
+        key = (x, pairs[col], pairs[col + 1])
+        made = blocks.get(key)
+        if made is None:
+            block = build_block(Fraction(*x), norms[col], norms[col + 1])
+            (top_left, top_right), (bottom_left, bottom_right) = block.entries
+            kind = BlockKind.DEGENERATE_BLOCK if block.degenerate else BlockKind.BLOCK_2X2
+            made = blocks[key] = (top_left, bottom_left, top_right, bottom_right, kind)
+        top_left, bottom_left, top_right, bottom_right, kind = made
+        entries += (
+            (row, col, top_left),
+            (row + 1, col, bottom_left),
+            (row, col + 1, top_right),
+            (row + 1, col + 1, bottom_right),
+        )
         log.append(BlockRecord(kind, (row, row + 1), (col, col + 1)))
     return SynthesisMatrix(dim=spec.dim, count=spec.count, entries=entries, block_log=tuple(log))
 

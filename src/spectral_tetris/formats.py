@@ -35,7 +35,7 @@ from .scalar import (
     RadicalScalar,
     describe_rational,
     exact_sum,
-    format_rational,
+    format_ratio,
     parse_rational,
     radical_of_ints,
 )
@@ -132,9 +132,19 @@ def parse_spec_payload(payload: dict) -> tuple[FrameSpec, list[str]]:
     return FrameSpec(eigenvalues=eigenvalues, norms_sq=norms_sq), warnings
 
 
-def load_spec_file(path: str) -> tuple[FrameSpec, list[str]]:
+def load_json_file(path: str, what: str) -> Any:
+    """The parsed JSON of ``path``.  JSON nested too deeply for the
+    parser's recursion raises ValueError naming ``what``, the file kind,
+    not RecursionError."""
     with open(path, encoding="utf-8") as handle:
-        return parse_spec_payload(json.load(handle))
+        try:
+            return json.load(handle)
+        except RecursionError as exc:
+            raise ValueError(f"malformed {what}: JSON nested too deeply") from exc
+
+
+def load_spec_file(path: str) -> tuple[FrameSpec, list[str]]:
+    return parse_spec_payload(load_json_file(path, "spec file"))
 
 
 # The matrix file as ``canonical_json`` renders it.  Entries and block-log
@@ -173,9 +183,12 @@ def _record(record: BlockRecord) -> str:
     return _BLOCK_RECORD % (_span(cols), record.kind.value, _span(rows))
 
 
-def _literals(values) -> str:
+def _literals(pairs) -> str:
+    """A spec's values as a JSON list of rational literals, from its int
+    pairs; each distinct pair is rendered once, in first-seen order."""
     # rational literals hold only digits, "-" and "/": nothing to escape
-    return _nested("[]", [f'"{format_rational(v)}"' for v in values], "    ")
+    text = {pair: f'"{format_ratio(*pair)}"' for pair in dict.fromkeys(pairs)}
+    return _nested("[]", list(map(text.__getitem__, pairs)), "    ")
 
 
 def dump_matrix_file(
@@ -191,11 +204,11 @@ def dump_matrix_file(
     # in sorted key order: blockLog, eigenvalues, generator, norms_squared
     metadata = ['"blockLog": ' + _nested("[]", log, "    ")]
     if spec is not None:
-        metadata.append('"eigenvalues": ' + _literals(spec.eigenvalues))
+        metadata.append('"eigenvalues": ' + _literals(spec._eigen_pairs))
     if not reproducible:
         metadata.append(_GENERATOR)
     if spec is not None:
-        metadata.append('"norms_squared": ' + _literals(spec.norms_sq))
+        metadata.append('"norms_squared": ' + _literals(spec._norm_pairs))
     top = [
         f'"count": {matrix.count:d}',
         f'"dim": {matrix.dim:d}',

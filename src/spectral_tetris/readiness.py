@@ -14,11 +14,14 @@ d_k > 0 has
 :func:`_stuck` tests one row.  :func:`check_ready` reads the cuts and
 the first stuck row in one pass; :func:`_cursor`, which
 :func:`~spectral_tetris.construct.pnstc` builds from, places singletons
-up to m_k and a 2x2 block at m_k.  Consecutive cuts may coincide when a
-row completes exactly and the next opens with an immediate block.
+up to m_k and a 2x2 block at m_k, whose first-row mass d_k it yields as
+the int pair ``(r, den)``.  Consecutive cuts may coincide when a row
+completes exactly and the next opens with an immediate block.
 
-The scan runs on ints: d_k = r / den is summed by ``add_ratios``, so
-den is the denominator of d_k, never a product over the whole spec.
+The scan runs on ints: it reads the reduced ``(num, den)`` pairs that
+:class:`FrameSpec` makes once, and d_k = r / den is summed by
+``add_ratios``, so den is the denominator of d_k, never a product over
+the whole spec.
 Fraction prefix sums of 2/p over the first 6,000 primes carry the
 product of the primes.  A lift over the lcm of all denominators fails
 too: with the squared norms 1/p, (p-1)/p for 20,000 primes p near 10^5
@@ -36,11 +39,30 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import ConstructionStuckError, NotSortedError, TraceMismatchError
-from .scalar import ZERO, add_ratios, as_rational, describe_rational, exact_sum
+from .scalar import ZERO, add_ratios, as_rational, describe_rational, exact_sum, sum_ratios
+
+Ratio = tuple[int, int]  # (num, den), reduced, den > 0
 
 
 def _rational_tuple(values) -> tuple[Fraction, ...]:
     return tuple(as_rational(v) for v in values)
+
+
+def _ratio_tuple(values: tuple[Fraction, ...]) -> tuple[Ratio, ...]:
+    """Each value's ``(numerator, denominator)``, one pair per distinct value.
+
+    A run of one Fraction object, as a unit spec or ``formats`` gives for
+    a repeated literal, is read once: the properties run in Python.
+    """
+    shared: dict[Ratio, Ratio] = {}
+    pairs = []
+    last = pair = None
+    for value in values:
+        if value is not last:
+            last, pair = value, (value.numerator, value.denominator)
+            pair = shared.setdefault(pair, pair)
+        pairs.append(pair)
+    return tuple(pairs)
 
 
 @dataclass(frozen=True)
@@ -51,20 +73,29 @@ class FrameSpec:
     ``sum(norms_sq) == sum(eigenvalues)`` is *not* enforced here so that
     the readiness check can report a mismatch as a verdict; operations
     that need it check it themselves.
+
+    The package reads the values as reduced int pairs, made once here:
+    ``_eigen_pairs`` and ``_norm_pairs``, with one shared pair per
+    distinct value.  They are plain attributes, not fields, so equality,
+    hashing and ``repr`` see the two tuples of Fractions alone.
     """
 
     eigenvalues: tuple[Fraction, ...]
     norms_sq: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "eigenvalues", _rational_tuple(self.eigenvalues))
-        object.__setattr__(self, "norms_sq", _rational_tuple(self.norms_sq))
-        if not self.eigenvalues or not self.norms_sq:
+        eigenvalues, norms_sq = _rational_tuple(self.eigenvalues), _rational_tuple(self.norms_sq)
+        object.__setattr__(self, "eigenvalues", eigenvalues)
+        object.__setattr__(self, "norms_sq", norms_sq)
+        if not eigenvalues or not norms_sq:
             raise ValueError("eigenvalues and squared norms must be nonempty")
-        if any(v.numerator <= 0 for v in self.eigenvalues):
+        eigen_pairs, norm_pairs = _ratio_tuple(eigenvalues), _ratio_tuple(norms_sq)
+        if any(num <= 0 for num, _ in eigen_pairs):
             raise ValueError("eigenvalues must be positive")
-        if any(v.numerator <= 0 for v in self.norms_sq):
+        if any(num <= 0 for num, _ in norm_pairs):
             raise ValueError("squared norms must be positive")
+        object.__setattr__(self, "_eigen_pairs", eigen_pairs)
+        object.__setattr__(self, "_norm_pairs", norm_pairs)
 
     @property
     def dim(self) -> int:
@@ -114,11 +145,11 @@ class ReadinessReport:
 
 
 def _require_trace(spec: FrameSpec) -> None:
-    norms_total, eigenvalues_total = exact_sum(spec.norms_sq), exact_sum(spec.eigenvalues)
+    norms_total, eigenvalues_total = sum_ratios(spec._norm_pairs), sum_ratios(spec._eigen_pairs)
     if norms_total != eigenvalues_total:
         raise TraceMismatchError(
-            f"squared norms sum to {describe_rational(norms_total)}, "
-            f"eigenvalues to {describe_rational(eigenvalues_total)}"
+            f"squared norms sum to {describe_rational(Fraction(*norms_total))}, "
+            f"eigenvalues to {describe_rational(Fraction(*eigenvalues_total))}"
         )
 
 
@@ -127,14 +158,12 @@ def _scan(spec: FrameSpec):
     reduced (:func:`~spectral_tetris.scalar.add_ratios`).  Needs the
     trace identity for the last cut to be M.
     """
-    nums = [v.numerator for v in spec.norms_sq]
-    dens = [v.denominator for v in spec.norms_sq]
-    count = spec.count
+    norms, count = spec._norm_pairs, spec.count
     col, r, den = 0, 0, 1
-    for eigenvalue in spec.eigenvalues:
-        r, den = add_ratios(r, den, eigenvalue.numerator, eigenvalue.denominator)
+    for eigenvalue, eigenvalue_den in spec._eigen_pairs:
+        r, den = add_ratios(r, den, eigenvalue, eigenvalue_den)
         while col < count:
-            num, norm_den = nums[col], dens[col]
+            num, norm_den = norms[col]
             if num * den > r * norm_den:
                 break
             r, den = add_ratios(r, den, -num, norm_den)
@@ -145,29 +174,30 @@ def _scan(spec: FrameSpec):
 def _stuck(spec: FrameSpec, row: int, cut: int, r: int, den: int) -> ConstructionStuckError | None:
     """The error at 0-based ``row`` with cut ``cut`` and deficit r / den > 0,
     or None when its block fits; ``violation`` is (row + 1, condition)."""
-    norms, count, k = spec.norms_sq, spec.count, row + 1
+    norms, count, k = spec._norm_pairs, spec.count, row + 1
     if cut + 1 >= count:
         detail = (
             f"row {k} needs a block over columns {cut + 1}, {cut + 2} "
             f"but only {count} columns exist"
         )
         return ConstructionStuckError(detail, row=row, col=cut, violation=(k, Violation.GAP_II))
-    first, partner = norms[cut], norms[cut + 1]
-    if partner.numerator * den < r * partner.denominator:
+    partner, partner_den = norms[cut + 1]
+    if partner * den < r * partner_den:
         deficit = describe_rational(Fraction(r, den))
-        detail = f"column {cut + 2} squared norm {describe_rational(partner)} < deficit {deficit}"
+        norm = describe_rational(spec.norms_sq[cut + 1])
+        detail = f"column {cut + 2} squared norm {norm} < deficit {deficit}"
         return ConstructionStuckError(
             detail, row=row, col=cut, violation=(k, Violation.NORM_BOUND_II)
         )
-    carry = add_ratios(first.numerator, first.denominator, partner.numerator, partner.denominator)
+    carry = add_ratios(*norms[cut], partner, partner_den)
     carry, carry_den = add_ratios(*carry, -r, den)
-    bound = spec.eigenvalues[k]
-    if carry * bound.denominator <= bound.numerator * carry_den:
+    bound, bound_den = spec._eigen_pairs[k]
+    if carry * bound_den <= bound * carry_den:
         return None
     detail = (
         f"the block over columns {cut + 1}, {cut + 2} puts mass "
         f"{describe_rational(Fraction(carry, carry_den))} into row {k + 1}, "
-        f"whose eigenvalue is {describe_rational(bound)}"
+        f"whose eigenvalue is {describe_rational(spec.eigenvalues[k])}"
     )
     return ConstructionStuckError(detail, row=row, col=cut, violation=(k, Violation.GAP_II))
 
@@ -184,9 +214,10 @@ def _cursor(spec: FrameSpec):
     Each row takes singleton columns while they fit its residual mass; a
     positive remainder is closed by a 2x2 block over this row and the
     next.  Yields ``(row, col, None)`` for a singleton at (row, col) and
-    ``(row, col, x)`` for a block over rows row, row+1 and columns col,
-    col+1 whose first row squares to x.  Where it sticks it raises the
-    error of :func:`_stuck`.  Requires the trace identity.
+    ``(row, col, (r, den))`` for a block over rows row, row+1 and columns
+    col, col+1 whose first row squares to x = r / den, reduced with
+    den > 0.  Where it sticks it raises the error of :func:`_stuck`.
+    Requires the trace identity.
     """
     start = 0
     for row, (cut, r, den) in enumerate(_scan(spec)):
@@ -197,7 +228,7 @@ def _cursor(spec: FrameSpec):
             stuck = _stuck(spec, row, cut, r, den)
             if stuck is not None:
                 raise stuck
-            yield row, cut, Fraction(r, den)
+            yield row, cut, (r, den)
             start = cut + 2
 
 

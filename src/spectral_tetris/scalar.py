@@ -24,8 +24,9 @@ that this module provides:
   other_den) the cross sum is reduced when g == 1, else only gcd(total, g)
   can cancel.  So every gcd has an operand no larger than the added term's
   denominator, and a running sum's den is the denominator of its value.
-  ``exact_sum`` folds it; ``describe_rational`` renders a rational for a
-  message, by its digit counts when it is too long for ``str``.
+  ``sum_ratios`` folds it over int pairs and ``exact_sum`` over
+  rationals; ``describe_rational`` renders a rational for a message, by
+  its digit counts when it is too long for ``str``.
 """
 
 from __future__ import annotations
@@ -56,9 +57,14 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     """Inverse of :func:`parse_rational`; integers render without ``/1``."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return format_ratio(value.numerator, value.denominator)
+
+
+def format_ratio(num: int, den: int) -> str:
+    """:func:`format_rational` of the reduced pair num / den, den > 0."""
+    if den == 1:
+        return str(num)
+    return f"{num}/{den}"
 
 
 def describe_rational(value: Fraction) -> str:
@@ -85,12 +91,17 @@ def add_ratios(num: int, den: int, other: int, other_den: int) -> tuple[int, int
     return total // g, scale * (other_den // g)
 
 
+def sum_ratios(pairs) -> tuple[int, int]:
+    """The exact sum of ``(num, den)`` pairs, one :func:`add_ratios` per term."""
+    num, den = 0, 1
+    for other, other_den in pairs:
+        num, den = add_ratios(num, den, other, other_den)
+    return num, den
+
+
 def exact_sum(values) -> Fraction:
     """The exact sum of rationals, one :func:`add_ratios` per term."""
-    num, den = 0, 1
-    for value in values:
-        num, den = add_ratios(num, den, value.numerator, value.denominator)
-    return Fraction(num, den)
+    return Fraction(*sum_ratios((value.numerator, value.denominator) for value in values))
 
 
 def as_rational(value) -> Fraction:

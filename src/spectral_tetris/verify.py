@@ -3,7 +3,7 @@
 Row and column squared sums are always exact (sums of the entries'
 int ``num / den`` squares).  Each row and column keeps a reduced running
 ``num / den`` of ints through :func:`~spectral_tetris.scalar.add_ratios`,
-compared with the spec on ints; the report makes one Fraction per
+compared with the spec's own int pairs; the report makes one Fraction per
 distinct sum.
 
 Two rows can have a nonzero inner product only through the columns they
@@ -34,14 +34,13 @@ from operator import itemgetter
 
 from .construct import Entry, SynthesisMatrix
 from .errors import ZeroColumnError, ZeroRowError
-from .readiness import FrameSpec
+from .readiness import FrameSpec, Ratio
 from .scalar import add_ratios
 from .scalar import canonicalize  # noqa: F401  (bench/tracing.py wraps verify.canonicalize)
 
 DEFAULT_FLOAT_TOL = 1e-10
 
 Column = list[Entry]  # the nonzero entries of one column, by row
-Ratio = tuple[int, int]  # (num, den) with den > 0
 
 
 @dataclass(frozen=True)
@@ -212,9 +211,7 @@ def verify_matrix(
     matches: bool | None = None
     if spec is not None:
         matches = (
-            rows == [(v.numerator, v.denominator) for v in spec.eigenvalues]
-            and cols == [(v.numerator, v.denominator) for v in spec.norms_sq]
-            and orthogonal
+            rows == list(spec._eigen_pairs) and cols == list(spec._norm_pairs) and orthogonal
         )
     # one Fraction per distinct sum, shared: Fractions are immutable
     made = {pair: Fraction(*pair) for pair in {*rows, *cols}}

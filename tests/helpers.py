@@ -10,6 +10,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from spectral_tetris import (
+    Block2x2,
     BlockKind,
     BlockRecord,
     ConstructionStuckError,
@@ -18,6 +19,7 @@ from spectral_tetris import (
     RadicalScalar,
     SynthesisMatrix,
     Violation,
+    build_block,
     format_rational,
 )
 from spectral_tetris.formats import GENERATOR_NAME, GENERATOR_VERSION
@@ -53,6 +55,19 @@ def matrix_from_grid(rows) -> SynthesisMatrix:
 def radical_product(a: RadicalScalar, b: RadicalScalar) -> RadicalScalar:
     """The product of two radicals: signs and radicands multiply."""
     return RadicalScalar(a.sign * b.sign, a.radicand * b.radicand)
+
+
+def block_row_sums_sq(block: Block2x2) -> tuple[Fraction, Fraction]:
+    """The squared norms of a block's two rows."""
+    return tuple(e[0].radicand + e[1].radicand for e in block.entries)  # type: ignore[return-value]
+
+
+def block_col_sums_sq(block: Block2x2) -> tuple[Fraction, Fraction]:
+    """The squared norms of a block's two columns."""
+    return (
+        block.entries[0][0].radicand + block.entries[1][0].radicand,
+        block.entries[0][1].radicand + block.entries[1][1].radicand,
+    )
 
 
 def small_fraction(rng: random.Random, top: int = 20) -> Fraction:
@@ -265,6 +280,28 @@ def reference_cursor(spec: FrameSpec):
             raise ConstructionStuckError(detail, row=row, col=col, violation=(k, Violation.GAP_II))
         yield row, col, residual
         col += 2
+
+
+def reference_pnstc(spec: FrameSpec) -> SynthesisMatrix:
+    """Reference for ``construct.pnstc``: the placements of
+    ``reference_cursor``, with one ``build_block`` call per placed block
+    and one root per singleton, nothing shared.  Requires the trace
+    identity."""
+    norms = spec.norms_sq
+    entries = []
+    log = []
+    for row, col, x in reference_cursor(spec):
+        if x is None:
+            entries.append((row, col, RadicalScalar.sqrt(norms[col])))
+            log.append(BlockRecord(BlockKind.SINGLETON, (row, row), (col, col)))
+            continue
+        block = build_block(x, norms[col], norms[col + 1])
+        for dr in (0, 1):
+            for dc in (0, 1):
+                entries.append((row + dr, col + dc, block.entries[dr][dc]))
+        kind = BlockKind.DEGENERATE_BLOCK if block.degenerate else BlockKind.BLOCK_2X2
+        log.append(BlockRecord(kind, (row, row + 1), (col, col + 1)))
+    return SynthesisMatrix(dim=spec.dim, count=spec.count, entries=entries, block_log=tuple(log))
 
 
 def reference_partition(spec: FrameSpec) -> Partition:

@@ -11,7 +11,7 @@ from spectral_tetris import (
     block_exists,
     build_block,
 )
-from helpers import radical_product, small_fraction
+from helpers import block_col_sums_sq, block_row_sums_sq, radical_product, small_fraction
 
 F = Fraction
 
@@ -29,8 +29,8 @@ def test_build_block_integer_case():
     assert block.entries[1][0] .radicand == 2
     assert block.entries[1][1].radicand == 2
     assert [[e.sign for e in row] for row in block.entries] == [[1, 1], [1, -1]]
-    assert block.row_sums_sq() == (2, 4)
-    assert block.col_sums_sq() == (3, 3)
+    assert block_row_sums_sq(block) == (2, 4)
+    assert block_col_sums_sq(block) == (3, 3)
     assert not block.degenerate
 
 
@@ -56,8 +56,8 @@ def test_build_block_zero_second_row_boundary():
     # x = a1+a2 forces the second row to vanish entirely
     block = build_block(3, 2, 1)
     assert block.zero_second_row
-    assert block.row_sums_sq() == (3, 0)
-    assert block.col_sums_sq() == (2, 1)
+    assert block_row_sums_sq(block) == (3, 0)
+    assert block_col_sums_sq(block) == (2, 1)
 
 
 def test_build_block_rejects_infeasible():
@@ -101,8 +101,8 @@ def test_random_feasible_blocks_are_exact():
             continue
         x, a1, a2 = spec
         block = build_block(x, a1, a2)
-        assert block.col_sums_sq() == (a1, a2)
-        assert block.row_sums_sq() == (x, a1 + a2 - x)
+        assert block_col_sums_sq(block) == (a1, a2)
+        assert block_row_sums_sq(block) == (x, a1 + a2 - x)
         # cross terms share a radicand and oppose in sign
         top, bottom = block.entries
         left, right = radical_product(top[0], bottom[0]), radical_product(top[1], bottom[1])
@@ -133,8 +133,8 @@ def test_block_cells_keep_reduced_fields(a1, a2, share, above):
         assert (value.sign == 0) == (value.num == 0)
         assert value.radicand == F(value.num, value.den)
     assert block.degenerate == any(value.is_zero() for value in cells)
-    assert block.col_sums_sq() == (a1, a2)
-    assert block.row_sums_sq() == (x, a1 + a2 - x)
+    assert block_col_sums_sq(block) == (a1, a2)
+    assert block_row_sums_sq(block) == (x, a1 + a2 - x)
 
 
 def test_random_infeasible_blocks_are_refused():

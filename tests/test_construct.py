@@ -25,7 +25,16 @@ from spectral_tetris import (
     unit_tight_feasible,
     verify_matrix,
 )
-from helpers import cell, grid, k_inequality_scan_loop, random_ready_spec
+from spectral_tetris import construct
+from helpers import (
+    cell,
+    grid,
+    k_inequality_scan_loop,
+    random_mixed_spec,
+    random_ready_spec,
+    reference_cursor,
+    reference_pnstc,
+)
 
 F = Fraction
 
@@ -280,6 +289,54 @@ def test_random_ready_specs_construct_and_verify():
         spec = random_ready_spec(rng)
         matrix = pnstc(spec)
         assert verify_matrix(matrix, spec).matches_spec
+
+
+def _built(build, spec):
+    """``build(spec)``, or the violation and message it stops on."""
+    try:
+        return build(spec)
+    except ConstructionStuckError as exc:
+        return exc.violation, str(exc)
+
+
+def test_pnstc_builds_each_distinct_block_once(monkeypatch):
+    calls = 0
+    original = construct.build_block
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(construct, "build_block", counted)
+    # unit norms at redundancy (2L-1)/L, one or four copies: L is the key
+    unit_tight_specs = {
+        FrameSpec(eigenvalues=(F(count, dim),) * dim, norms_sq=(F(1),) * count): ell
+        for ell in range(2, 8)
+        for copies in (1, 4)
+        for dim, count in [(copies * ell, copies * (2 * ell - 1))]
+    }
+    rng = random.Random(16)
+    mixed_specs = [random_mixed_spec(rng) for _ in range(500)]
+    placed = built = 0
+    for spec in [*unit_tight_specs, *mixed_specs]:
+        if spec.trace_gap() != 0:
+            continue
+        keys = set()
+        try:
+            for _, col, x in reference_cursor(spec):
+                if x is not None:
+                    keys.add((x, spec.norms_sq[col], spec.norms_sq[col + 1]))
+                    placed += 1
+        except ConstructionStuckError:
+            pass
+        calls = 0
+        assert _built(pnstc, spec) == _built(reference_pnstc, spec)
+        assert calls == len(keys)
+        if spec in unit_tight_specs:
+            assert calls == unit_tight_specs[spec] - 1
+        built += calls
+    assert built < placed  # blocks repeat, and were reused
 
 
 def test_small_eigenvalues_only_after_exact_completion():

@@ -413,6 +413,25 @@ def test_cli_refuses_a_unit_spec_above_the_vector_limit(tmp_path, command):
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("depth", [10**3, 10**5])
+@pytest.mark.parametrize("command", ["check", "construct", "search", "verify"])
+def test_cli_refuses_deeply_nested_json_in_one_line(tmp_path, command, depth):
+    # nesting past the JSON parser's recursion limit: about 4 KB at 10^3
+    nested = "[" * depth + "]" * depth
+    if command == "verify":
+        text, what = '{"dim": 1, "count": 1, "entries": %s}' % nested, "matrix file"
+    else:
+        text, what = '{"dim": 1, "eigenvalues": %s, "unit": true}' % nested, "spec file"
+    path = tmp_path / "input.json"
+    path.write_text(text, encoding="utf-8")
+    extra = [str(tmp_path / "out.json")] if command == "construct" else []
+    done = _cli_in_a_child(command, str(path), *extra)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == f"error: malformed {what}: JSON nested too deeply\n"
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_cli_search_counts_many_distinct_norms_in_linear_time(tmp_path):
     # 20,000 distinct squared norms k/20000 in one dimension: counting each
     # distinct value by a scan of all of them would take minutes

@@ -36,3 +36,34 @@ def test_unit_tight_pipeline_makes_about_one_fraction_per_block(monkeypatch, dim
     assert blocks == dim - 1
     # the cursor's one first-row mass per block, and a few for the totals
     assert made <= blocks + 8, made
+
+
+def test_unit_tight_two_l_minus_one_over_l_makes_a_constant_number_of_fractions(monkeypatch):
+    # 300 x 525 at redundancy 7/4: 225 blocks, at most L - 1 = 3 distinct,
+    # and one Fraction each for the distinct blocks and verify's sums
+    dim, count = 300, 525
+    spec = FrameSpec(eigenvalues=(Fraction(count, dim),) * dim, norms_sq=(Fraction(1),) * count)
+    original = Fraction.__new__
+    made = 0
+
+    def counted(cls, *args, **kwargs):
+        nonlocal made
+        made += 1
+        return original(cls, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Fraction, "__new__", counted)
+        matrix = pnstc(spec)
+        text = formats.dump_matrix_file(matrix, spec)
+    payload = json.loads(text)
+    with monkeypatch.context() as patch:
+        patch.setattr(Fraction, "__new__", counted)
+        report = verify_matrix(formats.matrix_from_payload(payload), spec)
+    assert report.matches_spec
+    blocks = {
+        tuple(matrix.entry(row, col) for row in record.rows for col in record.cols)
+        for record in matrix.block_log
+        if record.kind is not BlockKind.SINGLETON
+    }
+    assert len(blocks) == 3
+    assert made <= len(blocks) + 8, made

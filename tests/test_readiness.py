@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -44,6 +46,21 @@ def test_frame_spec_rejects_nonpositive_fractions(bad):
         FrameSpec(eigenvalues=(F(1, 2), bad), norms_sq=(F(1, 2),))
     with pytest.raises(ValueError, match="^squared norms must be positive$"):
         FrameSpec(eigenvalues=(F(1, 2),), norms_sq=(F(1, 2), bad))
+
+
+def test_frame_spec_shares_one_int_pair_per_distinct_value():
+    ones = (F(1), 1, "1", F(2, 2), F(1))
+    halves = (F(1, 2), "1/2", F(2, 4), F(1, 2))
+    spec = FrameSpec(eigenvalues=(F(7, 4),) * 4, norms_sq=ones + halves)
+    for values, pairs in ((spec.eigenvalues, spec._eigen_pairs), (spec.norms_sq, spec._norm_pairs)):
+        assert pairs == tuple((v.numerator, v.denominator) for v in values)
+    assert len({id(pair) for pair in spec._norm_pairs}) == 2
+    assert len({id(pair) for pair in spec._eigen_pairs}) == 1
+    # the pairs are not fields: equality, hashing and repr see the Fractions
+    other = FrameSpec(eigenvalues=(F(7, 4),) * 4, norms_sq=(1,) * 5 + (F(1, 2),) * 4)
+    assert spec == other and hash(spec) == hash(other)
+    assert [field.name for field in dataclasses.fields(spec)] == ["eigenvalues", "norms_sq"]
+    assert "pairs" not in repr(spec)
 
 
 def test_forced_partition_examples():
@@ -238,11 +255,22 @@ def test_integer_cursor_matches_the_fraction_reference():
         spec = random_mixed_spec(rng)
         if spec.trace_gap() != 0:  # the cursor requires the trace identity
             continue
-        outcome = _cursor_outcome(_cursor, spec)
-        assert outcome == _cursor_outcome(reference_cursor, spec)
-        # an int x would compare equal to the reference's Fraction
-        assert all(type(x) in (Fraction, type(None)) for _, _, x in outcome[0])
-        stuck += outcome[1] is not None
+        placements, ending = _cursor_outcome(_cursor, spec)
+        expected, expected_ending = _cursor_outcome(reference_cursor, spec)
+        assert ending == expected_ending
+        assert [placement[:2] for placement in placements] == [
+            placement[:2] for placement in expected
+        ]
+        for (_, _, x), (_, _, reference_x) in zip(placements, expected):
+            if reference_x is None:
+                assert x is None
+                continue
+            # a block's x is the reduced int pair (r, den) of the reference's x
+            r, den = x
+            assert type(r) is int and type(den) is int
+            assert den > 0 and math.gcd(r, den) == 1
+            assert Fraction(r, den) == reference_x
+        stuck += ending is not None
     assert stuck > 100  # both kinds of ending are exercised
 
 
