@@ -316,10 +316,15 @@ def test_pnstc_builds_each_distinct_block_once(monkeypatch):
         for copies in (1, 4)
         for dim, count in [(copies * ell, copies * (2 * ell - 1))]
     }
+    # two blocks with x = 1/2 that share one column's squared norm only
+    shared_one_norm = [
+        FrameSpec(eigenvalues=(F(1, 2), 2, F(5, 2)), norms_sq=(1, 1, 1, 2)),
+        FrameSpec(eigenvalues=(F(1, 2), 2, F(5, 2)), norms_sq=(1, 1, 2, 1)),
+    ]
     rng = random.Random(16)
     mixed_specs = [random_mixed_spec(rng) for _ in range(500)]
     placed = built = 0
-    for spec in [*unit_tight_specs, *mixed_specs]:
+    for spec in [*unit_tight_specs, *shared_one_norm, *mixed_specs]:
         if spec.trace_gap() != 0:
             continue
         keys = set()
@@ -335,6 +340,8 @@ def test_pnstc_builds_each_distinct_block_once(monkeypatch):
         assert calls == len(keys)
         if spec in unit_tight_specs:
             assert calls == unit_tight_specs[spec] - 1
+        if spec in shared_one_norm:
+            assert calls == 2
         built += calls
     assert built < placed  # blocks repeat, and were reused
 
