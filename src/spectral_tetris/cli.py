@@ -159,10 +159,14 @@ def cmd_verify(args) -> int:
     else:  # the metadata block is parsed only when no --spec decides
         spec = formats.spec_from_matrix_metadata(payload)
     report = verify_matrix(matrix, spec, tol=args.tol if args.mode == "float" else None)
-    # a sum too long for str reads "<about D digits>" (describe_rational)
+    # a sum too long for str reads "<about D digits>" (describe_rational).
+    # verify_matrix shares one Fraction per distinct sum, so each is rendered
+    # once, keyed by identity: hashing a Fraction costs more than rendering it.
+    sums = {id(v): v for v in (*report.row_square_sums, *report.col_square_sums)}
+    text = {key: describe_rational(v) for key, v in sums.items()}
     payload = {
-        "rowSquareSums": [describe_rational(v) for v in report.row_square_sums],
-        "colSquareSums": [describe_rational(v) for v in report.col_square_sums],
+        "rowSquareSums": [text[id(v)] for v in report.row_square_sums],
+        "colSquareSums": [text[id(v)] for v in report.col_square_sums],
         "orthogonal": report.orthogonal,
         "orthogonalityMode": report.orthogonality_mode,
         "nnz": report.nnz,

@@ -10,8 +10,10 @@ Spec file::
      "norms_squared": ["9", "4", "3", "3", "1", "4"]}
 
 with exactly one of ``norms_squared`` (exact), ``norms`` (decimal
-strings, squared then rounded to denominator <= 10^6 with a warning) or
-``unit: true`` (all ones).
+strings, squared, and rounded with a warning only when the square's
+denominator is past 10^6) or ``unit: true`` (all ones).  Each distinct
+literal is parsed once.  An exact literal, and a plain decimal norm such
+as ``1.25``, squared on ints, make one Fraction each.
 
 Matrix file: entries sorted by (col, row), no explicit zeros, each entry
 ``{"row": r, "col": c, "sign": s, "rad": {"num": p, "den": q}}``.
@@ -25,6 +27,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import re
 from fractions import Fraction
 from typing import Any
 
@@ -71,8 +74,8 @@ def canonical_json(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _parse_each(literals) -> tuple[Fraction, ...]:
-    """``parse_rational`` over a list, parsing each distinct literal once.
+def _parse_each(literals, parse=parse_rational) -> tuple:
+    """``parse`` over a list, parsing each distinct literal once.
 
     Literals are parsed in list order, so a bad one is reported where the
     plain per-item loop would report it.
@@ -82,9 +85,41 @@ def _parse_each(literals) -> tuple[Fraction, ...]:
     for text in literals:
         value = parsed.get(text)
         if value is None:
-            value = parsed[text] = parse_rational(text)
+            value = parsed[text] = parse(text)
         values.append(value)
     return tuple(values)
+
+
+_PLAIN_DECIMAL = re.compile(r"([0-9]+)(?:\.([0-9]*))?")
+
+
+def _square_norm(text: str) -> tuple[Fraction, str | None]:
+    """A ``norms`` literal's square, rounded to a denominator of at most
+    ``NORM_DENOMINATOR_LIMIT``, and its rounding warning (None if exact).
+
+    A plain ASCII decimal w.f is squared on ints: n = w * 10^len(f) + f
+    over 10^len(f), reduced with one gcd, and squared.  ``int`` reads w
+    and f apart, as ``Fraction`` does, so the limit on digits acts the
+    same.  Any other literal (a sign, an exponent, whitespace,
+    underscores, other digits, a slash), and any square that must be
+    rounded, takes the ``Fraction`` path.
+    """
+    match = _PLAIN_DECIMAL.fullmatch(text)
+    if match:
+        whole, frac = match.groups("")
+        scale = 10 ** len(frac)
+        num = int(whole) * scale + int(frac or 0)
+        g = math.gcd(num, scale)
+        den = scale // g
+        if den * den <= NORM_DENOMINATOR_LIMIT:
+            num //= g
+            return Fraction(num * num, den * den), None
+    exact = Fraction(text) ** 2
+    rounded = exact.limit_denominator(NORM_DENOMINATOR_LIMIT)
+    if rounded == exact:
+        return rounded, None
+    exact_text, rounded_text = describe_rational(exact), describe_rational(rounded)
+    return rounded, f"norm {text}: squared value {exact_text} rounded to {rounded_text}"
 
 
 @_parsed_json("spec file")
@@ -104,20 +139,13 @@ def parse_spec_payload(payload: dict) -> tuple[FrameSpec, list[str]]:
     if provided[0] == "norms_squared":
         norms_sq = _parse_each(map(str, payload["norms_squared"]))
     elif provided[0] == "norms":
-        norms_sq = []
-        for text in payload["norms"]:
-            exact = Fraction(str(text)) ** 2
-            rounded = exact.limit_denominator(NORM_DENOMINATOR_LIMIT)
-            if rounded != exact:
-                warnings.append(
-                    f"norm {text}: squared value {exact} rounded to {rounded}"
-                )
-            norms_sq.append(rounded)
-        norms_sq = tuple(norms_sq)
-        warnings.insert(
-            0,
-            "decimal norms are a lossy input path; pass norms_squared for exact results",
+        squares = _parse_each(map(str, payload["norms"]), _square_norm)
+        norms_sq = tuple(value for value, _ in squares)
+        warnings.append(
+            "decimal norms are a lossy input path; pass norms_squared for exact results"
         )
+        # one warning per rounded occurrence, in list order
+        warnings.extend(note for _, note in squares if note is not None)
     else:
         total = exact_sum(eigenvalues)
         if total.denominator != 1 or total <= 0:

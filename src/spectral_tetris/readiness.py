@@ -45,7 +45,12 @@ Ratio = tuple[int, int]  # (num, den), reduced, den > 0
 
 
 def _rational_tuple(values) -> tuple[Fraction, ...]:
-    return tuple(as_rational(v) for v in values)
+    """The values as a tuple of Fractions; when every one already is a
+    Fraction, as ``formats`` gives them, the tuple holds them as they are."""
+    values = tuple(values)
+    if set(map(type, values)) == {Fraction}:
+        return values
+    return tuple(map(as_rational, values))
 
 
 def _ratio_tuple(values: tuple[Fraction, ...]) -> tuple[Ratio, ...]:

@@ -44,15 +44,22 @@ ZERO = Fraction(0)
 #: only adversarial radicands ever get near it.
 DEFAULT_FACTOR_BOUND = 10**6
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/([1-9]\d*))?$")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse the exact text format ``p`` or ``p/q`` (optional leading sign)."""
+    """Parse the exact text format ``p`` or ``p/q`` (optional leading sign).
+
+    The value is built from the two matched ints, so the text is parsed
+    once; ``int`` reads each part as ``Fraction(text)`` would, with the
+    same limit on digits.
+    """
     text = text.strip()
-    if not _RATIONAL_RE.match(text):
+    match = _RATIONAL_RE.match(text)
+    if not match:
         raise ValueError(f"not a rational literal: {text!r}")
-    return Fraction(text)
+    num, den = match.groups()
+    return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
 
 def format_rational(value: Fraction) -> str:

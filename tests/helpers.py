@@ -3,11 +3,15 @@ reference implementations the fast paths are checked against."""
 
 from __future__ import annotations
 
+import contextlib
 import math
 import random
+import re
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
+
+import pytest
 
 from spectral_tetris import (
     Block2x2,
@@ -22,7 +26,8 @@ from spectral_tetris import (
     build_block,
     format_rational,
 )
-from spectral_tetris.formats import GENERATOR_NAME, GENERATOR_VERSION
+from spectral_tetris.formats import GENERATOR_NAME, GENERATOR_VERSION, NORM_DENOMINATOR_LIMIT
+from spectral_tetris.scalar import describe_rational
 
 
 def grid(matrix: SynthesisMatrix) -> list[list[tuple[int, Fraction]]]:
@@ -200,6 +205,51 @@ def matrix_to_payload(
         ],
         "metadata": metadata,
     }
+
+
+class FractionCount:
+    """The number of Fractions made so far inside a ``count_fractions`` block."""
+
+    made = 0
+
+
+@contextlib.contextmanager
+def count_fractions():
+    """Count every ``Fraction.__new__`` call made inside the block."""
+    original = Fraction.__new__
+    count = FractionCount()
+
+    def counted(cls, *args, **kwargs):
+        count.made += 1
+        return original(cls, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Fraction, "__new__", counted)
+        yield count
+
+
+_RATIONAL_LITERAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+
+
+def parse_rational_via_fraction(text: str) -> Fraction:
+    """Reference for ``scalar.parse_rational``: match the literal, then let
+    ``Fraction`` parse the text a second time."""
+    text = text.strip()
+    if not _RATIONAL_LITERAL.match(text):
+        raise ValueError(f"not a rational literal: {text!r}")
+    return Fraction(text)
+
+
+def square_norm_via_fraction(text: str) -> tuple[Fraction, str | None]:
+    """Reference for one literal of a spec's ``norms``: the square through
+    ``Fraction``, rounded to a denominator of at most
+    ``NORM_DENOMINATOR_LIMIT``, and the rounding warning (None if exact)."""
+    exact = Fraction(text) ** 2
+    rounded = exact.limit_denominator(NORM_DENOMINATOR_LIMIT)
+    if rounded == exact:
+        return rounded, None
+    exact_text, rounded_text = describe_rational(exact), describe_rational(rounded)
+    return rounded, f"norm {text}: squared value {exact_text} rounded to {rounded_text}"
 
 
 def radical_via_fraction(item: dict) -> RadicalScalar:

@@ -9,28 +9,20 @@ from fractions import Fraction
 import pytest
 
 from spectral_tetris import BlockKind, FrameSpec, formats, pnstc, verify_matrix
+from helpers import count_fractions
 
 
 @pytest.mark.parametrize("dim", [100, 300])
-def test_unit_tight_pipeline_makes_about_one_fraction_per_block(monkeypatch, dim):
+def test_unit_tight_pipeline_makes_about_one_fraction_per_block(dim):
     count = 2 * dim - 1
     spec = FrameSpec(eigenvalues=(Fraction(count, dim),) * dim, norms_sq=(Fraction(1),) * count)
-    original = Fraction.__new__
-    made = 0
-
-    def counted(cls, *args, **kwargs):
-        nonlocal made
-        made += 1
-        return original(cls, *args, **kwargs)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(Fraction, "__new__", counted)
+    with count_fractions() as building:
         matrix = pnstc(spec)
         text = formats.dump_matrix_file(matrix, spec)
     payload = json.loads(text)  # the JSON parser makes no Fraction
-    with monkeypatch.context() as patch:
-        patch.setattr(Fraction, "__new__", counted)
+    with count_fractions() as verifying:
         report = verify_matrix(formats.matrix_from_payload(payload), spec)
+    made = building.made + verifying.made
     assert report.matches_spec
     blocks = sum(record.kind is not BlockKind.SINGLETON for record in matrix.block_log)
     assert blocks == dim - 1
@@ -38,27 +30,18 @@ def test_unit_tight_pipeline_makes_about_one_fraction_per_block(monkeypatch, dim
     assert made <= blocks + 8, made
 
 
-def test_unit_tight_two_l_minus_one_over_l_makes_a_constant_number_of_fractions(monkeypatch):
+def test_unit_tight_two_l_minus_one_over_l_makes_a_constant_number_of_fractions():
     # 300 x 525 at redundancy 7/4: 225 blocks, at most L - 1 = 3 distinct,
     # and one Fraction each for the distinct blocks and verify's sums
     dim, count = 300, 525
     spec = FrameSpec(eigenvalues=(Fraction(count, dim),) * dim, norms_sq=(Fraction(1),) * count)
-    original = Fraction.__new__
-    made = 0
-
-    def counted(cls, *args, **kwargs):
-        nonlocal made
-        made += 1
-        return original(cls, *args, **kwargs)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(Fraction, "__new__", counted)
+    with count_fractions() as building:
         matrix = pnstc(spec)
         text = formats.dump_matrix_file(matrix, spec)
     payload = json.loads(text)
-    with monkeypatch.context() as patch:
-        patch.setattr(Fraction, "__new__", counted)
+    with count_fractions() as verifying:
         report = verify_matrix(formats.matrix_from_payload(payload), spec)
+    made = building.made + verifying.made
     assert report.matches_spec
     blocks = {
         tuple(matrix.entry(row, col) for row in record.rows for col in record.cols)

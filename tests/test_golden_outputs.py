@@ -27,7 +27,7 @@ import pytest
 
 from spectral_tetris import format_rational
 from spectral_tetris.cli import main
-from helpers import random_mixed_spec
+from helpers import random_mixed_spec, square_norm_via_fraction
 
 
 def _unit_tight(dim: int) -> dict:
@@ -40,6 +40,51 @@ def _spec_payload(spec) -> dict:
         "eigenvalues": [format_rational(v) for v in spec.eigenvalues],
         "norms_squared": [format_rational(v) for v in spec.norms_sq],
     }
+
+
+def _decimal_run(seed: int, dim: int, draw_text) -> dict:
+    """A spec with decimal ``norms`` read off a random cursor run, as the
+    mixed-rational benchmark draws them: each row takes 0-2 singletons
+    and, except the last, may close with a 2x2 block whose first-row mass
+    is a tenth-multiple below both of its squared norms.  ``draw_text(rng)``
+    gives one norm literal; the eigenvalues are its rounded squares."""
+    rng = random.Random(seed)
+
+    def draw():
+        text = draw_text(rng)
+        return text, square_norm_via_fraction(text)[0]
+
+    eigenvalues, norms = [], []
+    carry = 0
+    for row in range(dim):
+        mass = carry
+        carry = 0
+        for _ in range(rng.randint(0, 2)):
+            text, square = draw()
+            norms.append(text)
+            mass += square
+        if row < dim - 1 and (mass == 0 or rng.random() < 0.6):
+            (first, a), (second, b) = draw(), draw()
+            x = min(a, b) * rng.randint(1, 9) / 10
+            norms += [first, second]
+            mass += x
+            carry = a + b - x
+        elif mass == 0:
+            text, mass = draw()
+            norms.append(text)
+        eigenvalues.append(mass)
+    return {"dim": dim, "eigenvalues": [format_rational(v) for v in eigenvalues], "norms": norms}
+
+
+def _decimal(digits: int):
+    """A norm literal in (0.1, 2] with ``digits`` fractional digits."""
+    scale = 10**digits
+
+    def draw_text(rng: random.Random) -> str:
+        units = rng.randint(scale // 10 + 1, 2 * scale)
+        return f"{units // scale}.{units % scale:0{digits}d}"
+
+    return draw_text
 
 
 def _specs() -> dict[str, dict]:
@@ -56,6 +101,15 @@ def _specs() -> dict[str, dict]:
         "eigenvalues": ["6", "17/4", "3", "2"],
         "norms_squared": ["61/36"] * 9,
     }
+    # decimal norms, squared on the parse path; "1.0001" and "0.7071" square
+    # to denominators past 10^6, so they round and warn
+    for digits in (1, 2, 3):
+        specs[f"decimal-{digits}"] = _decimal_run(digits, 12, _decimal(digits))
+    pool = ["1.5", "0.5", "1.25", "2", "0.125"]
+    specs["decimal-repeated"] = _decimal_run(4, 15, lambda rng: rng.choice(pool))
+    pool = ["1.0001", "0.7071", "1.5", "0.25"]
+    specs["decimal-rounded"] = _decimal_run(5, 10, lambda rng: rng.choice(pool))
+    specs["decimal-stuck"] = {"dim": 2, "eigenvalues": ["7/2", "2"], "norms": ["1.5", "1.5", "1"]}
     return specs
 
 
@@ -118,6 +172,35 @@ def search_digests(name: str, payload: dict) -> dict[str, str]:
 
 
 GOLDEN = {
+    "decimal-1": {
+        "check": "8995d336eee18abaabca649bc7ca2f28f4f41635d2c3d010dddd6fb4afdec358",
+        "construct": "1b20935ffb5ed0fb4387c3e370148a108a722dec0a60b838b32dc7c8b9488caa",
+        "verify": "c3843cc13b99e72c73ff660d77d615d08139a596da40e6b0b7d719741e97f45d",
+    },
+    "decimal-2": {
+        "check": "7919e46b8864ce47bf735f6b7c6cfb969e11eb7a15c1ba2fb07d378c45ba322b",
+        "construct": "949e4f7f6c69bb7a60c96001291fb27e7caa0e4ac1586d897375cf4d65eb3353",
+        "verify": "1f1a6f124f5c6b917ccaa315d58b9c8c3b7dd8befddaf60610747990c4b6ef83",
+    },
+    "decimal-3": {
+        "check": "1c1bf665051307de77ef186cf3fa429f2c04292520552c998ff123ced7b40a77",
+        "construct": "43c1e8f58929b0e122b51449c71a3903474ba73d904ac0da4d8f9db4ab19884f",
+        "verify": "00a1c049059685b8b848b50aa18131d4133acf96345383037efee45eed5bf488",
+    },
+    "decimal-repeated": {
+        "check": "e21a277d85ab74599df13a1b221f30ecfce24172b91beb769c4f1b942cd0033a",
+        "construct": "01987e714e757de2549fa460aff7e62f09778b5481ea1ea0a140f619bb3e7bc5",
+        "verify": "529087e16c381767f1d5ab34b4c6e280759df78a52ddbe3a94cd7e9958ce7e6e",
+    },
+    "decimal-rounded": {
+        "check": "4ab5acad7bb335e94f4d1ce17014658becbc364ba12ab9ee953b89757194d553",
+        "construct": "a936d922b67b4a7c76683484b6574287c5ad9c8da85c2b9963a5d6c5294e8b89",
+        "verify": "8fc56c5eba46b8bfcc3a1747a366d165c03bc46b3120d60153a1fb79c6ddaa5f",
+    },
+    "decimal-stuck": {
+        "check": "1ea88362d91649602ad3019dda61c81cc8ea4b78c93a9d338cde382086549c71",
+        "construct": "05fb337d4b7a3690061a28ed5a0021df226d9ce28295e9b5e6e696a0e4c8ff84",
+    },
     "mixed-0": {
         "check": "b92c2db7bd4a02c7d678da98ad8e0ee7916828f49bbd1edf167e868d8cb0d891",
         "construct": "f411d64eda7c8dccfc6cc9adb9bf31c086d1f2914aa068675a0027c656175123",
