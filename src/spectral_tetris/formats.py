@@ -47,6 +47,7 @@ GENERATOR_NAME = "spectral-tetris"
 GENERATOR_VERSION = __version__
 
 NORM_DENOMINATOR_LIMIT = 10**6
+NORM_EXPONENT_LIMIT = 10**4
 
 
 def _parsed_json(what: str):
@@ -91,6 +92,26 @@ def _parse_each(literals, parse=parse_rational) -> tuple:
 
 
 _PLAIN_DECIMAL = re.compile(r"([0-9]+)(?:\.([0-9]*))?")
+# A decimal with an exponent as ``Fraction`` reads it: \d is any Unicode
+# digit, and ``int`` reads the exponent's digits and underscores.
+_EXPONENT = re.compile(
+    r"\s*[-+]?(?=\d|\.\d)(?:\d*|\d+(?:_\d+)*)(?:\.(?:\d*|\d+(?:_\d+)*))?"
+    r"e([-+]?\d+(?:_\d+)*)\s*",
+    re.IGNORECASE,
+)
+
+
+def _exponent(text: str) -> int | None:
+    """The exponent of a decimal literal, read before any Fraction is made;
+    None without one, or past ``int``'s digit limit, which ``Fraction``
+    refuses as it is."""
+    match = _EXPONENT.fullmatch(text)
+    if match is None:
+        return None
+    try:
+        return int(match[1])
+    except ValueError:
+        return None
 
 
 def _square_norm(text: str) -> tuple[Fraction, str | None]:
@@ -102,7 +123,10 @@ def _square_norm(text: str) -> tuple[Fraction, str | None]:
     and f apart, as ``Fraction`` does, so the limit on digits acts the
     same.  Any other literal (a sign, an exponent, whitespace,
     underscores, other digits, a slash), and any square that must be
-    rounded, takes the ``Fraction`` path.
+    rounded, takes the ``Fraction`` path.  An exponent past
+    ``NORM_EXPONENT_LIMIT`` is refused first.  ``Fraction`` would spend
+    time growing faster than the exponent, and the square, with a mantissa
+    of at most 4,300 digits, would round to 0 or match no trace.
     """
     match = _PLAIN_DECIMAL.fullmatch(text)
     if match:
@@ -114,6 +138,9 @@ def _square_norm(text: str) -> tuple[Fraction, str | None]:
         if den * den <= NORM_DENOMINATOR_LIMIT:
             num //= g
             return Fraction(num * num, den * den), None
+    exponent = _exponent(text)
+    if exponent is not None and abs(exponent) > NORM_EXPONENT_LIMIT:
+        raise ValueError(f"norm {text!r}: exponent past ±{NORM_EXPONENT_LIMIT}")
     exact = Fraction(text) ** 2
     rounded = exact.limit_denominator(NORM_DENOMINATOR_LIMIT)
     if rounded == exact:
@@ -294,8 +321,8 @@ def spec_from_matrix_metadata(payload: dict) -> FrameSpec | None:
     metadata = payload.get("metadata", {})
     if "eigenvalues" in metadata and "norms_squared" in metadata:
         return FrameSpec(
-            eigenvalues=_parse_each(metadata["eigenvalues"]),
-            norms_sq=_parse_each(metadata["norms_squared"]),
+            eigenvalues=_parse_each(map(str, metadata["eigenvalues"])),
+            norms_sq=_parse_each(map(str, metadata["norms_squared"])),
         )
     return None
 

@@ -117,7 +117,6 @@ class FrameSpec:
 
 class Violation(Enum):
     TRACE_MISMATCH = "trace-mismatch"
-    UPPER_BOUND_I = "upper-bound-i"
     GAP_II = "gap-ii"
     NORM_BOUND_II = "norm-bound-ii"
 

@@ -15,20 +15,24 @@ norms decreasing with eigenvalues increasing, both decreasing, and both
 increasing.  The walk itself is budgeted by node count (deterministic,
 unlike wall time).
 
+The two sums are equal, so the remaining norm mass minus the remaining
+eigenvalue mass is the residual of the open row (positive) or minus the
+carry into the next row (zero or negative).  The walk takes one
+recursive step per placed value (a block places two), and the sign of
+that mass picks the step: fill the open row, or open the next one.
+
 Many prefixes reach the same state: the same values placed in another
 order.  A state is fixed by the remaining multiplicities of each norm
-and eigenvalue alone.  The two sums are equal, so the remaining norm
-mass minus the remaining eigenvalue mass is the residual of the open
-row (positive) or minus the carry into the next row (zero or negative).
-The subtree below a state depends on nothing else, so a state whose
-subtree was walked to the end with no completion is dead wherever it is
-reached again.  The walk keeps these dead states in a set that lives for
-one call and skips them.  Completions, duplicates included, are what
-tell a dead subtree from a live one.  A walk stopped by the budget or the
-result limit adds nothing.  A skipped subtree holds no completion, so the
-walk meets the same completions in the same order as without the set.
-Only the node count drops.  The node is charged before the lookup, so
-counts stay deterministic.
+and eigenvalue alone, which fix the mass too.  Its subtree depends on
+nothing else, so a state whose subtree was walked to the end with no
+completion is dead wherever it is reached again.  The walk keeps these
+dead states in a set that lives for one call and skips them.
+Completions, duplicates included, are what tell a dead subtree from a
+live one.  A walk stopped by the budget or the result limit adds
+nothing.  A skipped subtree holds no completion, so the walk meets the
+same completions in the same order as without the set.  Only the node
+count drops.  The node is charged before the lookup, so counts stay
+deterministic.
 """
 
 from __future__ import annotations
@@ -92,7 +96,8 @@ class _Walk:
     """State of one exhaustive walk.
 
     The distinct norm and eigenvalue values are sorted once, decreasing,
-    and ``norm_counts`` / ``eig_counts`` hold how many of each remain.
+    and ``norm_counts`` / ``eig_counts`` hold how many of each remain;
+    ``norm_seq`` / ``eig_seq`` hold the values placed so far, in order.
     ``dead`` holds the remaining counts of states whose subtree was walked
     to the end with no completion.
     """
@@ -103,6 +108,8 @@ class _Walk:
         self.eig_values = sorted(eig_counts, reverse=True)
         self.norm_counts = [norm_counts[v] for v in self.norm_values]
         self.eig_counts = [eig_counts[v] for v in self.eig_values]
+        self.norm_seq: list[Fraction] = []
+        self.eig_seq: list[Fraction] = []
         self.budget = req.budget
         self.max_results = req.max_results
         self.found: set[OrderingPair] = set()
@@ -112,11 +119,17 @@ class _Walk:
         self.memo_hits = 0
         self.budget_hit = False
 
-    def visit(self, step, mass: Fraction, norm_seq: list, eig_seq: list) -> None:
-        """Charge one node, then walk ``step``'s subtree unless it is dead.
+    def record(self, norm_seq: list[Fraction], eig_seq: list[Fraction]) -> None:
+        self.completions += 1
+        self.found.add((tuple(norm_seq), tuple(eig_seq)))
+        if len(self.found) >= self.max_results:
+            raise _StopSearch
 
-        A skipped state is charged too, so ``budget=1`` stops at once.
-        """
+    def visit(self, mass: Fraction) -> None:
+        """Charge one node, then, unless the state is dead, walk its
+        subtree: ``mass > 0`` fills the open row, and ``mass <= 0`` opens
+        the next row or, with no eigenvalue left, records a completion.
+        A skipped state is charged too, so ``budget=1`` stops at once."""
         self.nodes += 1
         if self.nodes > self.budget:
             self.budget_hit = True
@@ -126,70 +139,53 @@ class _Walk:
             self.memo_hits += 1
             return
         before = self.completions
-        step(mass, norm_seq, eig_seq)
+        norm_counts, eig_counts = self.norm_counts, self.eig_counts
+        norm_seq, eig_seq = self.norm_seq, self.eig_seq
+        # the sign of a Fraction is its numerator's: read without ``> 0``'s ABC dispatch
+        if mass.numerator > 0:
+            next_row_exists = any(eig_counts)
+            for index, value in enumerate(self.norm_values):
+                if not norm_counts[index]:
+                    continue
+                if value <= mass:
+                    norm_counts[index] -= 1
+                    norm_seq.append(value)
+                    self.visit(mass - value)
+                    norm_seq.pop()
+                    norm_counts[index] += 1
+                elif next_row_exists:
+                    # block: partner must carry at least the residual, and a
+                    # next eigenvalue must exist to absorb the second row
+                    norm_counts[index] -= 1
+                    norm_seq.append(value)
+                    for slot, partner in enumerate(self.norm_values):
+                        if partner < mass:
+                            break
+                        if not norm_counts[slot]:
+                            continue
+                        norm_counts[slot] -= 1
+                        norm_seq.append(partner)
+                        self.visit(mass - value - partner)
+                        norm_seq.pop()
+                        norm_counts[slot] += 1
+                    norm_seq.pop()
+                    norm_counts[index] += 1
+        elif any(eig_counts):
+            for index, value in enumerate(self.eig_values):
+                residual = value + mass
+                if residual.numerator < 0:
+                    break
+                if not eig_counts[index]:
+                    continue
+                eig_counts[index] -= 1
+                eig_seq.append(value)
+                self.visit(residual)
+                eig_seq.pop()
+                eig_counts[index] += 1
+        else:  # with no eigenvalue left, mass is the norm mass left: 0
+            self.record(norm_seq, eig_seq)
         if self.completions == before:
             self.dead.add(key)
-
-    def record(self, norm_seq: list[Fraction], eig_seq: list[Fraction]) -> None:
-        self.completions += 1
-        self.found.add((tuple(norm_seq), tuple(eig_seq)))
-        if len(self.found) >= self.max_results:
-            raise _StopSearch
-
-    def next_row(self, carry: Fraction, norm_seq: list, eig_seq: list) -> None:
-        counts = self.eig_counts
-        if not any(counts):
-            if carry == 0 and not any(self.norm_counts):
-                self.record(norm_seq, eig_seq)
-            return
-        for index, value in enumerate(self.eig_values):
-            residual = value - carry
-            if residual < 0:
-                break
-            if not counts[index]:
-                continue
-            counts[index] -= 1
-            eig_seq.append(value)
-            if residual == 0:
-                self.visit(self.next_row, ZERO, norm_seq, eig_seq)
-            else:
-                self.visit(self.fill_row, residual, norm_seq, eig_seq)
-            eig_seq.pop()
-            counts[index] += 1
-
-    def fill_row(self, residual: Fraction, norm_seq: list, eig_seq: list) -> None:
-        counts, values = self.norm_counts, self.norm_values
-        next_row_exists = any(self.eig_counts)
-        for index, value in enumerate(values):
-            if not counts[index]:
-                continue
-            if value <= residual:
-                counts[index] -= 1
-                norm_seq.append(value)
-                remaining = residual - value
-                if remaining == 0:
-                    self.visit(self.next_row, ZERO, norm_seq, eig_seq)
-                else:
-                    self.visit(self.fill_row, remaining, norm_seq, eig_seq)
-                norm_seq.pop()
-                counts[index] += 1
-            elif next_row_exists:
-                # block: partner must carry at least the residual, and a
-                # next eigenvalue must exist to absorb the second row
-                counts[index] -= 1
-                norm_seq.append(value)
-                for slot, partner in enumerate(values):
-                    if partner < residual:
-                        break
-                    if not counts[slot]:
-                        continue
-                    counts[slot] -= 1
-                    norm_seq.append(partner)
-                    self.visit(self.next_row, value + partner - residual, norm_seq, eig_seq)
-                    norm_seq.pop()
-                    counts[slot] += 1
-                norm_seq.pop()
-                counts[index] += 1
 
 
 def _heuristic_pairs(req: SearchRequest) -> list[OrderingPair]:
@@ -212,7 +208,7 @@ def find_ready_orderings(req: SearchRequest) -> SearchResult:
         for norms, eigs in _heuristic_pairs(req):
             if check_ready(FrameSpec(eigenvalues=eigs, norms_sq=norms)).ready:
                 walk.record(norms, eigs)
-        walk.visit(walk.next_row, ZERO, [], [])
+        walk.visit(ZERO)
         stopped_early = False
     except _StopSearch:
         stopped_early = True

@@ -320,6 +320,24 @@ def test_cli_verify_parses_the_metadata_block_only_without_spec(tmp_path, capsys
     assert capsys.readouterr() == ("", "error: not a rational literal: 'x'\n")
 
 
+def test_cli_verify_reads_numeric_metadata_targets_as_their_strings(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"dim": 2, "eigenvalues": ["3", "2"], "unit": True}))
+    path = tmp_path / "matrix.json"
+    assert main(["construct", str(spec_path), str(path), "--reproducible"]) == 0
+    capsys.readouterr()
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    assert payload["metadata"]["eigenvalues"] == ["3", "2"]
+    numeric = {**payload["metadata"], "eigenvalues": [3, 2], "norms_squared": [1] * 5}
+    numeric_path = tmp_path / "numeric.json"
+    numeric_path.write_text(json.dumps({**payload, "metadata": numeric}), encoding="utf-8")
+    assert main(["verify", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["matchesSpec"] is True and captured.err == ""
+    assert main(["verify", str(numeric_path)]) == 0
+    assert capsys.readouterr() == captured
+
+
 def test_cli_float_mode_beyond_the_double_range_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "matrix.json"
     path.write_text(json.dumps({**_GOOD_MATRIX, "entries": [_entry(0, 0, 10**700), _entry(1, 1)]}))
@@ -432,6 +450,21 @@ def test_cli_refuses_deeply_nested_json_in_one_line(tmp_path, command, depth):
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize(
+    "literal", ["1e3000000", "1E-3000000", "2.5e+3_000_000", "\u0661e\u0663" + "\u0660" * 6]
+)
+def test_cli_refuses_a_norm_exponent_past_the_limit_in_one_line(tmp_path, literal):
+    # the 56-byte spec with 1e3000000 took seconds in Fraction's square, a
+    # time growing faster than the exponent; the exponent is read as
+    # Fraction reads it (Unicode digits, underscores) before any Fraction
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"dim": 1, "eigenvalues": ["1"], "norms": [literal]}))
+    done = _cli_in_a_child("check", str(path))
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == f"error: norm {literal!r}: exponent past ±10000\n"
+
+
 def test_cli_search_counts_many_distinct_norms_in_linear_time(tmp_path):
     # 20,000 distinct squared norms k/20000 in one dimension: counting each
     # distinct value by a scan of all of them would take minutes
@@ -443,6 +476,24 @@ def test_cli_search_counts_many_distinct_norms_in_linear_time(tmp_path):
     done = _cli_in_a_child("search", str(path), "--max-results", "1", "--budget", "1")
     assert done.returncode == 0, done.stderr
     assert len(json.loads(done.stdout)["orderings"]) == 1
+
+
+def test_cli_search_on_six_hundred_tiny_norms_in_one_row_stops_at_the_budget(tmp_path):
+    # eigenvalues 5 and 5 + t, norms^2 10 and k/360000 for k = 1..600 (sum t):
+    # the tiny norms fill one row, one recursive step each
+    tiny = [Fraction(k, 360000) for k in range(1, 601)]
+    spec = {
+        "dim": 2,
+        "eigenvalues": ["5", str(5 + sum(tiny))],
+        "norms_squared": ["10", *map(str, tiny)],
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    done = _cli_in_a_child("search", str(path), "--budget", "5000")
+    assert done.returncode == 3, done.stderr
+    assert done.stderr == ""
+    payload = json.loads(done.stdout)
+    assert payload["budget_exhausted"] is True and payload["nodes_used"] == 5001
 
 
 def test_cli_zero_column_is_found_before_allocating_by_the_count(tmp_path):

@@ -156,9 +156,10 @@ def test_spec_literals_parse_as_one_parse_rational_each():
     metadata = {"eigenvalues": literals, "norms_squared": literals}
     spec = formats.spec_from_matrix_metadata({"metadata": metadata})
     assert spec.eigenvalues == spec.norms_sq == expected
-    # the metadata path takes strings only; the spec path takes str(v)
-    for bad in (1, [1]):
-        with pytest.raises(ValueError, match="malformed matrix file metadata"):
-            formats.spec_from_matrix_metadata({"metadata": {**metadata, "eigenvalues": ["1", bad]}})
+    # both paths take str(v): a number reads as its text, a list is refused
+    spec = formats.spec_from_matrix_metadata({"metadata": {**metadata, "eigenvalues": ["1", 1]}})
+    assert spec.eigenvalues == (1, 1)
+    with pytest.raises(ValueError, match="not a rational literal"):
+        formats.spec_from_matrix_metadata({"metadata": {**metadata, "eigenvalues": ["1", [1]]}})
     with pytest.raises(ValueError, match="not a rational literal"):
         formats.parse_spec_payload({"dim": 2, "eigenvalues": ["1", [1]], "unit": True})

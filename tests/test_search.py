@@ -187,4 +187,17 @@ def test_largest_catalog_infeasible_walk():
     assert result.orderings == ()
     assert result.exhausted and not result.budget_exhausted
     assert result.nodes_used == 2025
+    assert result.memo_hits == 1396
     assert result == find_ready_orderings(request)
+
+
+def test_unready_multiset_walk():
+    # Majorizes, yet no ordering is ready: the walk decides every state.
+    request = SearchRequest(
+        norms_sq=(5, 1, 7, 1, 2, 9, 8, 8, 10), eigenvalues=(4, 37, 3, 5, 2)
+    )
+    result = find_ready_orderings(request)
+    assert result.orderings == ()
+    assert result.exhausted and not result.budget_exhausted
+    assert result.nodes_used == 9743
+    assert result.memo_hits == 6731
