@@ -276,6 +276,24 @@ def dump_matrix_file(
 _KINDS = {kind.value: kind for kind in BlockKind}
 
 
+def _int_field(value) -> int:
+    """``int(value)`` for a matrix file's int field, refusing a float that
+    is not integral: int() would truncate 1.5 to 1 and 0.9 to row 0."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"malformed matrix file: {value!r} is not an integer")
+    return int(value)
+
+
+def _int_tuple(values) -> tuple[int, ...]:
+    """The items as a tuple of ints; each item goes through
+    :func:`_int_field` unless all of them are ints already."""
+    ints = tuple(values)
+    for value in ints:
+        if type(value) is not int:
+            return tuple(map(_int_field, ints))
+    return ints
+
+
 @_parsed_json("matrix file")
 def matrix_from_payload(payload: dict) -> SynthesisMatrix:
     """Build a matrix from a parsed matrix file.
@@ -284,19 +302,22 @@ def matrix_from_payload(payload: dict) -> SynthesisMatrix:
     ``count`` and ``entries``; :class:`SynthesisMatrix` checks the cells.
     Entries with equal raw ``(sign, num, den)`` share one value, built
     once from the ints (:func:`~spectral_tetris.scalar.radical_of_ints`):
-    values are immutable, and equal raw fields convert equally.
+    values are immutable, and equal raw fields convert equally.  An int
+    field that is not already an int goes through :func:`_int_field`.
     """
     if not isinstance(payload, dict) or not {"dim", "count", "entries"} <= payload.keys():
         raise ValueError("a matrix file is an object with 'dim', 'count' and 'entries'")
     values: dict = {}
     entries = []
     for item in payload["entries"]:
-        row, col = int(item["row"]), int(item["col"])
+        row, col = item["row"], item["col"]
+        if type(row) is not int or type(col) is not int:
+            row, col = _int_field(row), _int_field(col)
         rad = item["rad"]
         key = (item["sign"], rad["num"], rad["den"])
         value = values.get(key)
         if value is None:
-            value = values[key] = radical_of_ints(*map(int, key))
+            value = values[key] = radical_of_ints(*_int_tuple(key))
         entries.append((row, col, value))
     log = []
     for record in payload.get("metadata", {}).get("blockLog", []):
@@ -307,12 +328,15 @@ def matrix_from_payload(payload: dict) -> SynthesisMatrix:
         log.append(
             BlockRecord(
                 kind=kind,
-                rows=tuple(map(int, record["rowSpan"])),
-                cols=tuple(map(int, record["colSpan"])),
+                rows=_int_tuple(record["rowSpan"]),
+                cols=_int_tuple(record["colSpan"]),
             )
         )
     return SynthesisMatrix(
-        dim=int(payload["dim"]), count=int(payload["count"]), entries=entries, block_log=tuple(log)
+        dim=_int_field(payload["dim"]),
+        count=_int_field(payload["count"]),
+        entries=entries,
+        block_log=tuple(log),
     )
 
 

@@ -354,18 +354,19 @@ def majorizes(eigenvalues, norms_sq) -> bool:
     True iff, with both sequences sorted decreasing, every partial sum of
     the eigenvalues dominates the corresponding partial sum of the squared
     norms and the totals agree.  Independent of any particular
-    construction.
+    construction.  The partial sums are reduced ``(num, den)`` int pairs
+    (:func:`~spectral_tetris.scalar.add_ratios`), compared by
+    cross-multiplying.
     """
-    eig = sorted(_rational_tuple(eigenvalues), reverse=True)
-    nsq = sorted(_rational_tuple(norms_sq), reverse=True)
-    if exact_sum(eig) != exact_sum(nsq):
+    eig = [(v.numerator, v.denominator) for v in sorted(_rational_tuple(eigenvalues), reverse=True)]
+    nsq = [(v.numerator, v.denominator) for v in sorted(_rational_tuple(norms_sq), reverse=True)]
+    if sum_ratios(eig) != sum_ratios(nsq):  # reduced pairs: equal iff the values are
         return False
-    eig_acc = ZERO
-    nsq_acc = ZERO
-    for n in range(len(eig)):
-        eig_acc += eig[n]
+    eig_acc = nsq_acc = (0, 1)
+    for n, value in enumerate(eig):
+        eig_acc = add_ratios(*eig_acc, *value)
         if n < len(nsq):
-            nsq_acc += nsq[n]
-        if nsq_acc > eig_acc:
+            nsq_acc = add_ratios(*nsq_acc, *nsq[n])
+        if nsq_acc[0] * eig_acc[1] > eig_acc[0] * nsq_acc[1]:
             return False
     return True

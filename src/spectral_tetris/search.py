@@ -17,9 +17,15 @@ unlike wall time).
 
 The two sums are equal, so the remaining norm mass minus the remaining
 eigenvalue mass is the residual of the open row (positive) or minus the
-carry into the next row (zero or negative).  The walk takes one
-recursive step per placed value (a block places two), and the sign of
-that mass picks the step: fill the open row, or open the next one.
+carry into the next row (zero or negative).  The walk takes one step
+per placed value (a block places two), and the sign of that mass picks
+the step: fill the open row, or open the next one.  Masses are reduced
+``(num, den)`` int pairs, summed by
+:func:`~spectral_tetris.scalar.add_ratios` and compared by
+cross-multiplying; only the placed values stay Fractions.  The steps run
+on an explicit stack of generators, one per state on the current path,
+not on the interpreter's stack, so a row of thousands of values cannot
+overflow it.
 
 Many prefixes reach the same state: the same values placed in another
 order.  A state is fixed by the remaining multiplicities of each norm
@@ -42,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .readiness import FrameSpec, _rational_tuple, check_ready
-from .scalar import ZERO, exact_sum
+from .scalar import add_ratios, exact_sum
 
 DEFAULT_BUDGET = 1_000_000
 DEFAULT_MAX_RESULTS = 16
@@ -96,16 +102,22 @@ class _Walk:
     """State of one exhaustive walk.
 
     The distinct norm and eigenvalue values are sorted once, decreasing,
-    and ``norm_counts`` / ``eig_counts`` hold how many of each remain;
-    ``norm_seq`` / ``eig_seq`` hold the values placed so far, in order.
-    ``dead`` holds the remaining counts of states whose subtree was walked
-    to the end with no completion.
+    and taken apart once into reduced ``(num, den)`` pairs, kept in the
+    same order; ``norm_counts`` / ``eig_counts`` hold how many of each
+    remain, and ``norm_seq`` / ``eig_seq`` the values placed so far, in
+    order.  The mass is a reduced ``(num, den)`` pair too: sums go through
+    :func:`~spectral_tetris.scalar.add_ratios` and comparisons
+    cross-multiply (den > 0), so each denominator stays bounded by the
+    values in play.  ``dead`` holds the remaining counts of states whose
+    subtree was walked to the end with no completion.
     """
 
     def __init__(self, req: SearchRequest):
         norm_counts, eig_counts = Counter(req.norms_sq), Counter(req.eigenvalues)
         self.norm_values = sorted(norm_counts, reverse=True)
         self.eig_values = sorted(eig_counts, reverse=True)
+        self.norm_pairs = [(v.numerator, v.denominator) for v in self.norm_values]
+        self.eig_pairs = [(v.numerator, v.denominator) for v in self.eig_values]
         self.norm_counts = [norm_counts[v] for v in self.norm_values]
         self.eig_counts = [eig_counts[v] for v in self.eig_values]
         self.norm_seq: list[Fraction] = []
@@ -125,61 +137,84 @@ class _Walk:
         if len(self.found) >= self.max_results:
             raise _StopSearch
 
-    def visit(self, mass: Fraction) -> None:
-        """Charge one node, then, unless the state is dead, walk its
-        subtree: ``mass > 0`` fills the open row, and ``mass <= 0`` opens
-        the next row or, with no eigenvalue left, records a completion.
-        A skipped state is charged too, so ``budget=1`` stops at once."""
-        self.nodes += 1
-        if self.nodes > self.budget:
-            self.budget_hit = True
-            raise _StopSearch
-        key = (*self.norm_counts, *self.eig_counts)
-        if key in self.dead:
-            self.memo_hits += 1
-            return
+    def run(self) -> None:
+        """Walk every state from the empty prefix (mass 0).
+
+        Each state that is not known dead gets a :meth:`children`
+        generator on the stack; the loop charges one node per child mass
+        it yields, before the dead-set lookup, so ``budget=1`` stops at
+        once and a skipped state is charged too.  A generator is resumed
+        once the subtree of its last child is done."""
+        norm_counts, eig_counts, dead = self.norm_counts, self.eig_counts, self.dead
+        stack = []
+        mass = (0, 1)
+        while True:
+            if mass is not None:
+                self.nodes += 1
+                if self.nodes > self.budget:
+                    self.budget_hit = True
+                    raise _StopSearch
+                key = (*norm_counts, *eig_counts)
+                if key in dead:
+                    self.memo_hits += 1
+                else:
+                    stack.append(self.children(key, *mass))
+            if not stack:
+                return
+            mass = next(stack[-1], None)
+            if mass is None:
+                stack.pop()
+
+    def children(self, key: tuple[int, ...], num: int, den: int):
+        """Yield the mass of each child of the state ``key`` with mass
+        num / den, with the child's value placed while its subtree is
+        walked: ``num > 0`` fills the open row, and ``num <= 0`` opens the
+        next row or, with no eigenvalue left, records a completion.  A
+        state whose subtree completed nothing is added to ``dead``."""
         before = self.completions
         norm_counts, eig_counts = self.norm_counts, self.eig_counts
         norm_seq, eig_seq = self.norm_seq, self.eig_seq
-        # the sign of a Fraction is its numerator's: read without ``> 0``'s ABC dispatch
-        if mass.numerator > 0:
+        if num > 0:
+            norm_pairs, norm_values = self.norm_pairs, self.norm_values
             next_row_exists = any(eig_counts)
-            for index, value in enumerate(self.norm_values):
+            for index, (value, value_den) in enumerate(norm_pairs):
                 if not norm_counts[index]:
                     continue
-                if value <= mass:
+                if value * den <= num * value_den:
                     norm_counts[index] -= 1
-                    norm_seq.append(value)
-                    self.visit(mass - value)
+                    norm_seq.append(norm_values[index])
+                    yield add_ratios(num, den, -value, value_den)
                     norm_seq.pop()
                     norm_counts[index] += 1
                 elif next_row_exists:
                     # block: partner must carry at least the residual, and a
                     # next eigenvalue must exist to absorb the second row
                     norm_counts[index] -= 1
-                    norm_seq.append(value)
-                    for slot, partner in enumerate(self.norm_values):
-                        if partner < mass:
+                    norm_seq.append(norm_values[index])
+                    rest, rest_den = add_ratios(num, den, -value, value_den)
+                    for slot, (partner, partner_den) in enumerate(norm_pairs):
+                        if partner * den < num * partner_den:
                             break
                         if not norm_counts[slot]:
                             continue
                         norm_counts[slot] -= 1
-                        norm_seq.append(partner)
-                        self.visit(mass - value - partner)
+                        norm_seq.append(norm_values[slot])
+                        yield add_ratios(rest, rest_den, -partner, partner_den)
                         norm_seq.pop()
                         norm_counts[slot] += 1
                     norm_seq.pop()
                     norm_counts[index] += 1
         elif any(eig_counts):
-            for index, value in enumerate(self.eig_values):
-                residual = value + mass
-                if residual.numerator < 0:
+            eig_values = self.eig_values
+            for index, (value, value_den) in enumerate(self.eig_pairs):
+                residual = add_ratios(value, value_den, num, den)
+                if residual[0] < 0:
                     break
                 if not eig_counts[index]:
                     continue
                 eig_counts[index] -= 1
-                eig_seq.append(value)
-                self.visit(residual)
+                eig_seq.append(eig_values[index])
+                yield residual
                 eig_seq.pop()
                 eig_counts[index] += 1
         else:  # with no eigenvalue left, mass is the norm mass left: 0
@@ -208,7 +243,7 @@ def find_ready_orderings(req: SearchRequest) -> SearchResult:
         for norms, eigs in _heuristic_pairs(req):
             if check_ready(FrameSpec(eigenvalues=eigs, norms_sq=norms)).ready:
                 walk.record(norms, eigs)
-        walk.visit(ZERO)
+        walk.run()
         stopped_early = False
     except _StopSearch:
         stopped_early = True

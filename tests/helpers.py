@@ -252,31 +252,43 @@ def square_norm_via_fraction(text: str) -> tuple[Fraction, str | None]:
     return rounded, f"norm {text}: squared value {exact_text} rounded to {rounded_text}"
 
 
+def int_field(value) -> int:
+    """Reference for a matrix file's int field: ``int(value)``, but a float
+    that is not integral is refused, not truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"malformed matrix file: {value!r} is not an integer")
+    return int(value)
+
+
 def radical_via_fraction(item: dict) -> RadicalScalar:
     """Reference for a matrix-file entry's value: one Fraction and the
     public constructor's checks."""
     rad = item["rad"]
-    return RadicalScalar(int(item["sign"]), Fraction(int(rad["num"]), int(rad["den"])))
+    value = Fraction(int_field(rad["num"]), int_field(rad["den"]))
+    return RadicalScalar(int_field(item["sign"]), value)
 
 
 def matrix_from_payload_per_entry(payload: dict) -> SynthesisMatrix:
     """Reference for ``formats.matrix_from_payload``: one
-    ``radical_via_fraction`` per entry, no sharing, and the library's own
-    exceptions unwrapped."""
+    ``radical_via_fraction`` per entry, no sharing, every int field through
+    ``int_field``, and the library's own exceptions unwrapped."""
     entries = [
-        (int(item["row"]), int(item["col"]), radical_via_fraction(item))
+        (int_field(item["row"]), int_field(item["col"]), radical_via_fraction(item))
         for item in payload["entries"]
     ]
     log = tuple(
         BlockRecord(
             kind=BlockKind(record["kind"]),
-            rows=tuple(map(int, record["rowSpan"])),
-            cols=tuple(map(int, record["colSpan"])),
+            rows=tuple(map(int_field, record["rowSpan"])),
+            cols=tuple(map(int_field, record["colSpan"])),
         )
         for record in payload.get("metadata", {}).get("blockLog", [])
     )
     return SynthesisMatrix(
-        dim=int(payload["dim"]), count=int(payload["count"]), entries=entries, block_log=log
+        dim=int_field(payload["dim"]),
+        count=int_field(payload["count"]),
+        entries=entries,
+        block_log=log,
     )
 
 
@@ -291,6 +303,23 @@ def k_inequality_scan_loop(count: int, dim: int) -> int | None:
         if math.floor(k_mass) > (k + 1) * redundancy - 2:
             return k
     return None
+
+
+def majorizes_via_fraction(eigenvalues, norms_sq) -> bool:
+    """Reference for ``readiness.majorizes``: the same test with every
+    partial sum a ``Fraction``."""
+    eig = sorted(map(Fraction, eigenvalues), reverse=True)
+    nsq = sorted(map(Fraction, norms_sq), reverse=True)
+    if sum(eig, Fraction(0)) != sum(nsq, Fraction(0)):
+        return False
+    eig_acc = nsq_acc = Fraction(0)
+    for n in range(len(eig)):
+        eig_acc += eig[n]
+        if n < len(nsq):
+            nsq_acc += nsq[n]
+        if nsq_acc > eig_acc:
+            return False
+    return True
 
 
 def reference_cursor(spec: FrameSpec):

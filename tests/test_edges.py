@@ -496,6 +496,24 @@ def test_cli_search_on_six_hundred_tiny_norms_in_one_row_stops_at_the_budget(tmp
     assert payload["budget_exhausted"] is True and payload["nodes_used"] == 5001
 
 
+def test_cli_search_on_two_thousand_tiny_norms_in_one_row_stops_at_the_budget(tmp_path):
+    # the same spec with 2,000 tiny norms k/1200000: a walk that took one
+    # interpreter frame per placed value overflowed at about 1,000
+    tiny = [Fraction(k, 1200000) for k in range(1, 2001)]
+    spec = {
+        "dim": 2,
+        "eigenvalues": ["5", str(5 + sum(tiny))],
+        "norms_squared": ["10", *map(str, tiny)],
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    done = _cli_in_a_child("search", str(path), "--budget", "5000")
+    assert done.returncode == 3, done.stderr
+    assert done.stderr == ""
+    payload = json.loads(done.stdout)
+    assert payload["budget_exhausted"] is True and payload["nodes_used"] == 5001
+
+
 def test_cli_zero_column_is_found_before_allocating_by_the_count(tmp_path):
     # 10**9 columns would need 8 GB per list; the first one without an
     # entry is reported instead

@@ -245,6 +245,37 @@ def test_cli_verify_loads_the_matrix_through_matrix_from_payload(tmp_path, monke
     capsys.readouterr()
 
 
+def _first_entry_with_row_0(payload):
+    return next(item for item in payload["entries"] if item["row"] == 0)
+
+
+@pytest.mark.parametrize(
+    "field, edit",
+    [
+        ("1.5", lambda payload: _first_entry_with_row_0(payload)["rad"].update(num=1.5)),
+        ("0.9", lambda payload: _first_entry_with_row_0(payload).update(row=0.9)),
+        ("4.7", lambda payload: payload.update(dim=4.7)),
+        ("0.5", lambda payload: payload["metadata"]["blockLog"][0].update(rowSpan=[0, 0.5])),
+    ],
+    ids=["num", "row", "dim", "span"],
+)
+def test_cli_verify_refuses_a_non_integral_float_in_an_int_field(tmp_path, capsys, field, edit):
+    # int() would read each of these as the int below it, and the matrix
+    # would still match the spec exactly
+    spec_path, out = tmp_path / "spec.json", tmp_path / "out.json"
+    write_json(spec_path, {"dim": 4, "eigenvalues": ["1"] * 4, "unit": True})
+    assert main(["construct", str(spec_path), str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert _first_entry_with_row_0(payload)["rad"] == {"num": 1, "den": 1}
+    edit(payload)
+    write_json(out, payload)
+    capsys.readouterr()
+    assert main(["verify", str(out), "--spec", str(spec_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: malformed matrix file: {field} is not an integer\n"
+
+
 def test_cli_loads_every_spec_file_through_load_spec_file(tmp_path, monkeypatch, capsys):
     # bench/tracing.py times spec loading by wrapping this module attribute;
     # check, construct and search print the loader's warnings, verify does not

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectral_tetris import (
     ConstructionStuckError,
@@ -23,6 +25,7 @@ from spectral_tetris import (
 )
 from spectral_tetris.readiness import _cursor
 from helpers import (
+    majorizes_via_fraction,
     pnstc_succeeds,
     random_mixed_spec,
     random_ready_spec,
@@ -190,6 +193,21 @@ def test_majorizes_examples():
     assert majorizes((5, 2), (3, 3, 1)) is True
     assert majorizes((2, 2), (3, 1)) is False
     assert majorizes((2, 2), (3, 2)) is False  # totals differ
+
+
+# few small denominators, so equal totals and tied partial sums are common
+_MASSES = st.lists(
+    st.builds(Fraction, st.integers(1, 12), st.sampled_from([1, 2, 3, 4, 6])), min_size=1, max_size=7
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(eigenvalues=_MASSES, norms_sq=_MASSES)
+def test_majorizes_agrees_with_fraction_prefix_sums(eigenvalues, norms_sq):
+    # also rescaled to the eigenvalues' total, so the draw reaches the prefix test
+    scale = sum(eigenvalues) / sum(norms_sq)
+    for norms in (norms_sq, [value * scale for value in norms_sq]):
+        assert majorizes(eigenvalues, norms) is majorizes_via_fraction(eigenvalues, norms)
 
 
 def test_verdicts_depend_only_on_the_value_sequences():

@@ -165,6 +165,27 @@ def test_search_agrees_with_brute_force_on_multisets_with_repeats():
     assert memo_hits > 0
 
 
+def test_search_agrees_with_brute_force_on_distinct_prime_denominators():
+    # Norms over distinct primes: the walk's int masses then mix
+    # denominators instead of sharing one.
+    rng = random.Random(1931)
+    outcomes = set()
+    for _ in range(40):
+        primes = rng.sample((2, 3, 5, 7, 11, 13, 17, 19), rng.randint(3, 5))
+        norms = tuple(F(rng.randint(1, 3 * p), p) for p in primes)
+        total = sum(norms)
+        dim = rng.randint(1, 3)
+        eigenvalues = [total * F(rng.randint(1, 4), 5 * dim) for _ in range(dim - 1)]
+        eigenvalues.append(total - sum(eigenvalues, F(0)))
+        request = SearchRequest(norms_sq=norms, eigenvalues=tuple(eigenvalues), max_results=10_000)
+        result = find_ready_orderings(request)
+        assert result.exhausted
+        oracle = _brute_force_pairs(norms, tuple(eigenvalues))
+        assert set(result.orderings) == oracle
+        outcomes.add(bool(oracle))
+    assert outcomes == {True, False}
+
+
 def test_a_result_limit_returns_a_subset_of_the_full_result():
     norms, eigenvalues = (7, 7, 6, 1, 1, 3, 3), (F(28, 3),) * 3
     full = find_ready_orderings(
