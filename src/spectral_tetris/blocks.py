@@ -30,14 +30,12 @@ from .scalar import RadicalScalar, _radical
 class Block2x2:
     """The constructed block; rows exactly orthogonal by sign opposition.
 
-    ``degenerate`` marks a zero entry (a column mass equal to x),
-    ``zero_second_row`` the y = 0 boundary where the orthogonality
-    coefficient collapses to zero and the second row vanishes.
+    ``degenerate`` marks a zero entry: a column mass equal to x, or the
+    y = 0 boundary, where the second row vanishes.
     """
 
     entries: tuple[tuple[RadicalScalar, RadicalScalar], tuple[RadicalScalar, RadicalScalar]]
     degenerate: bool
-    zero_second_row: bool
 
 
 def _lifted(x, a1_sq, a2_sq) -> tuple[int, int, int, int]:
@@ -95,11 +93,7 @@ def build_block(x, a1_sq, a2_sq) -> Block2x2:
     y = a1 + a2 - x
     if x == y:
         top = _radical(1, x, 2 * den)
-        return Block2x2(
-            entries=((top, top), (top, -top)),
-            degenerate=False,
-            zero_second_row=False,
-        )
+        return Block2x2(entries=((top, top), (top, -top)), degenerate=False)
     # scale < 0 when x < y: the quotients stay nonnegative, and _radical
     # moves the sign off the denominator
     scale = den * (x - y)
@@ -111,5 +105,4 @@ def build_block(x, a1_sq, a2_sq) -> Block2x2:
         entries=((alpha, beta), (c_beta, -c_alpha)),
         # x > 0, so a cell is zero iff a1 == y, a1 == x or y == 0
         degenerate=0 in (a1 - y, x - a1, y),
-        zero_second_row=(y == 0),
     )

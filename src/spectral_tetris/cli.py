@@ -153,7 +153,7 @@ def cmd_verify(args) -> int:
     else:
         payload = formats.load_json_file(args.matrix, "matrix file")
         matrix = formats.matrix_from_payload(payload)
-        require_nonzero_lines(matrix)  # before anything is allocated by the file's count
+    require_nonzero_lines(matrix)  # before anything is allocated by the file's count
     if args.spec:
         spec, _ = formats.load_spec_file(args.spec)
     else:  # the metadata block is parsed only when no --spec decides

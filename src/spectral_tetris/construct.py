@@ -47,7 +47,7 @@ from .readiness import (
     _require_trace,
     _unit_spec,
 )
-from .scalar import RadicalScalar, exact_sum
+from .scalar import RadicalScalar, _radical, exact_sum
 
 
 class BlockKind(str, Enum):
@@ -80,9 +80,10 @@ class SynthesisMatrix:
 
     Value object: ``entries`` is a tuple of ``(row, col, value)`` sorted
     by (col, row), the export order, with no zero values; instances are
-    hashable and compare by value.  The constructor accepts entries in
-    any order and raises ValueError on a dimension below 1, a cell
-    outside the matrix or a cell given twice (zero values included).
+    hashable and compare by value.  The constructor takes either field as
+    any iterable, entries in any order, and raises ValueError on a
+    dimension below 1, a cell outside the matrix or a cell given twice
+    (zero values included).
     """
 
     dim: int
@@ -104,6 +105,7 @@ class SynthesisMatrix:
             previous = (row, col)
         kept = tuple(entry for entry in ordered if entry[2].sign)
         object.__setattr__(self, "entries", kept)
+        object.__setattr__(self, "block_log", tuple(self.block_log))
 
     def entry(self, row: int, col: int) -> RadicalScalar:
         i = bisect_left(self.entries, (col, row), key=_column_major)
@@ -155,7 +157,7 @@ def pnstc(spec: FrameSpec) -> SynthesisMatrix:
             pair = pairs[col]
             root = roots.get(pair)
             if root is None:
-                root = roots[pair] = RadicalScalar.sqrt(norms[col])
+                root = roots[pair] = _radical(1, *pair)
             entries.append((row, col, root))
             log.append(BlockRecord(BlockKind.SINGLETON, (row, row), (col, col)))
             continue
@@ -174,7 +176,7 @@ def pnstc(spec: FrameSpec) -> SynthesisMatrix:
             (row + 1, col + 1, bottom_right),
         )
         log.append(BlockRecord(kind, (row, row + 1), (col, col + 1)))
-    return SynthesisMatrix(dim=spec.dim, count=spec.count, entries=entries, block_log=tuple(log))
+    return SynthesisMatrix(dim=spec.dim, count=spec.count, entries=entries, block_log=log)
 
 
 def stc(eigenvalues, count: int) -> SynthesisMatrix:

@@ -11,8 +11,9 @@ Spec file::
 
 with exactly one of ``norms_squared`` (exact), ``norms`` (decimal
 strings, squared, and rounded with a warning only when the square's
-denominator is past 10^6) or ``unit: true`` (all ones).  Each distinct
-literal is parsed once.  An exact literal, and a plain decimal norm such
+denominator is past 10^6) or ``unit: true`` (all ones).  ``dim`` is an
+integer, value lists are JSON arrays and ``unit`` is a boolean or null.
+Each distinct literal is parsed once.  An exact literal, and a plain decimal norm such
 as ``1.25``, squared on ints, make one Fraction each.
 
 Matrix file: entries sorted by (col, row), no explicit zeros, each entry
@@ -75,15 +76,20 @@ def canonical_json(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _parse_each(literals, parse=parse_rational) -> tuple:
-    """``parse`` over a list, parsing each distinct literal once.
+def _parse_each(payload: dict, key: str, parse=parse_rational) -> tuple:
+    """``parse`` over the ``str`` of each item of the JSON array
+    ``payload[key]``, parsing each distinct literal once; anything but an
+    array raises TypeError.
 
     Literals are parsed in list order, so a bad one is reported where the
     plain per-item loop would report it.
     """
+    literals = payload[key]
+    if type(literals) is not list:
+        raise TypeError(f"{key!r} must be a JSON array, not {type(literals).__name__}")
     parsed: dict = {}
     values = []
-    for text in literals:
+    for text in map(str, literals):
         value = parsed.get(text)
         if value is None:
             value = parsed[text] = parse(text)
@@ -155,18 +161,21 @@ def parse_spec_payload(payload: dict) -> tuple[FrameSpec, list[str]]:
     warnings: list[str] = []
     if "dim" not in payload or "eigenvalues" not in payload:
         raise ValueError("spec file needs 'dim' and 'eigenvalues'")
-    eigenvalues = _parse_each(map(str, payload["eigenvalues"]))
-    if int(payload["dim"]) != len(eigenvalues):
+    eigenvalues = _parse_each(payload, "eigenvalues")
+    if _int_field(payload["dim"], "spec file") != len(eigenvalues):
         raise ValueError(
             f"dim is {payload['dim']} but {len(eigenvalues)} eigenvalues were given"
         )
+    unit = payload.get("unit")
+    if unit is not None and type(unit) is not bool:
+        raise TypeError(f"'unit' must be true, false or null, not {type(unit).__name__}")
     provided = [key for key in ("norms_squared", "norms", "unit") if payload.get(key)]
     if len(provided) != 1:
         raise ValueError("provide exactly one of norms_squared, norms, unit")
     if provided[0] == "norms_squared":
-        norms_sq = _parse_each(map(str, payload["norms_squared"]))
+        norms_sq = _parse_each(payload, "norms_squared")
     elif provided[0] == "norms":
-        squares = _parse_each(map(str, payload["norms"]), _square_norm)
+        squares = _parse_each(payload, "norms", _square_norm)
         norms_sq = tuple(value for value, _ in squares)
         warnings.append(
             "decimal norms are a lossy input path; pass norms_squared for exact results"
@@ -276,11 +285,11 @@ def dump_matrix_file(
 _KINDS = {kind.value: kind for kind in BlockKind}
 
 
-def _int_field(value) -> int:
-    """``int(value)`` for a matrix file's int field, refusing a float that
-    is not integral: int() would truncate 1.5 to 1 and 0.9 to row 0."""
+def _int_field(value, what: str = "matrix file") -> int:
+    """``int(value)`` for an int field of a ``what`` file, refusing a float
+    that is not integral: int() would truncate 1.5 to 1 and 0.9 to row 0."""
     if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"malformed matrix file: {value!r} is not an integer")
+        raise ValueError(f"malformed {what}: {value!r} is not an integer")
     return int(value)
 
 
@@ -336,7 +345,7 @@ def matrix_from_payload(payload: dict) -> SynthesisMatrix:
         dim=_int_field(payload["dim"]),
         count=_int_field(payload["count"]),
         entries=entries,
-        block_log=tuple(log),
+        block_log=log,
     )
 
 
@@ -345,8 +354,8 @@ def spec_from_matrix_metadata(payload: dict) -> FrameSpec | None:
     metadata = payload.get("metadata", {})
     if "eigenvalues" in metadata and "norms_squared" in metadata:
         return FrameSpec(
-            eigenvalues=_parse_each(map(str, metadata["eigenvalues"])),
-            norms_sq=_parse_each(map(str, metadata["norms_squared"])),
+            eigenvalues=_parse_each(metadata, "eigenvalues"),
+            norms_sq=_parse_each(metadata, "norms_squared"),
         )
     return None
 

@@ -110,10 +110,6 @@ class FrameSpec:
     def count(self) -> int:
         return len(self.norms_sq)
 
-    def trace_gap(self) -> Fraction:
-        """sum(norms_sq) - sum(eigenvalues); zero iff the trace identity holds."""
-        return exact_sum(self.norms_sq) - exact_sum(self.eigenvalues)
-
 
 class Violation(Enum):
     TRACE_MISMATCH = "trace-mismatch"
@@ -123,11 +119,12 @@ class Violation(Enum):
 
 @dataclass(frozen=True)
 class Partition:
-    """Cut indices m_1 <= ... <= m_N = M (counts of consumed columns)."""
+    """Cut indices m_1 <= ... <= m_N = M (counts of consumed columns), as a tuple."""
 
     cuts: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "cuts", tuple(self.cuts))
         if any(b < a for a, b in zip(self.cuts, self.cuts[1:])):
             raise ValueError("cuts must be nondecreasing")
         if self.cuts and self.cuts[0] < 0:
@@ -209,7 +206,7 @@ def _stuck(spec: FrameSpec, row: int, cut: int, r: int, den: int) -> Constructio
 def forced_partition(spec: FrameSpec) -> Partition:
     """The cuts m_k; raises TraceMismatchError without the trace identity."""
     _require_trace(spec)
-    return Partition(tuple(cut for cut, _, _ in _scan(spec)))
+    return Partition(cut for cut, _, _ in _scan(spec))
 
 
 def _cursor(spec: FrameSpec):
@@ -249,7 +246,7 @@ def check_ready(spec: FrameSpec) -> ReadinessReport:
         cuts.append(cut)
         if r and stuck is None:
             stuck = _stuck(spec, row, cut, r, den)
-    partition = Partition(tuple(cuts))
+    partition = Partition(cuts)
     if stuck is None:
         return ReadinessReport(ready=True, partition=partition, violation=None)
     return ReadinessReport(
@@ -276,7 +273,7 @@ def easy_sufficient(spec: FrameSpec) -> bool:
     """
     _require_sorted(spec.eigenvalues, increasing=True, what="eigenvalues")
     _require_sorted(spec.norms_sq, increasing=True, what="squared norms")
-    if spec.trace_gap() != 0:
+    if sum_ratios(spec._norm_pairs) != sum_ratios(spec._eigen_pairs):
         return False
     m_count, dim = spec.count, spec.dim
     for ell in range(dim):

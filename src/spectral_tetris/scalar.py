@@ -174,9 +174,6 @@ class RadicalScalar:
         num, den = q.numerator, q.denominator
         return _radical(1 if num > 0 else -1, num * num, den * den)
 
-    def is_zero(self) -> bool:
-        return self.sign == 0
-
     def __neg__(self) -> "RadicalScalar":
         return _radical(-self.sign, self.num, self.den)
 

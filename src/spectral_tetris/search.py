@@ -180,18 +180,17 @@ class _Walk:
             for index, (value, value_den) in enumerate(norm_pairs):
                 if not norm_counts[index]:
                     continue
-                if value * den <= num * value_den:
-                    norm_counts[index] -= 1
-                    norm_seq.append(norm_values[index])
-                    yield add_ratios(num, den, -value, value_den)
-                    norm_seq.pop()
-                    norm_counts[index] += 1
-                elif next_row_exists:
-                    # block: partner must carry at least the residual, and a
-                    # next eigenvalue must exist to absorb the second row
-                    norm_counts[index] -= 1
-                    norm_seq.append(norm_values[index])
-                    rest, rest_den = add_ratios(num, den, -value, value_den)
+                fits = value * den <= num * value_den
+                # a block needs a next eigenvalue to absorb its second row
+                if not (fits or next_row_exists):
+                    continue
+                norm_counts[index] -= 1
+                norm_seq.append(norm_values[index])
+                rest = add_ratios(num, den, -value, value_den)
+                if fits:
+                    yield rest
+                else:  # block: the partner must carry at least the residual
+                    rest, rest_den = rest
                     for slot, (partner, partner_den) in enumerate(norm_pairs):
                         if partner * den < num * partner_den:
                             break
@@ -202,8 +201,8 @@ class _Walk:
                         yield add_ratios(rest, rest_den, -partner, partner_den)
                         norm_seq.pop()
                         norm_counts[slot] += 1
-                    norm_seq.pop()
-                    norm_counts[index] += 1
+                norm_seq.pop()
+                norm_counts[index] += 1
         elif any(eig_counts):
             eig_values = self.eig_values
             for index, (value, value_den) in enumerate(self.eig_pairs):
@@ -250,7 +249,7 @@ def find_ready_orderings(req: SearchRequest) -> SearchResult:
     ordered = tuple(sorted(walk.found, key=lambda pair: (pair[1], pair[0])))
     return SearchResult(
         orderings=ordered,
-        exhausted=not stopped_early and not walk.budget_hit,
+        exhausted=not stopped_early,
         budget_exhausted=walk.budget_hit,
         nodes_used=walk.nodes,
         memo_hits=walk.memo_hits,

@@ -87,9 +87,9 @@ def require_nonzero_lines(matrix: SynthesisMatrix) -> None:
     """Raise on the first zero row, else on the first zero column.
 
     A zero column is a zero vector, which no spec's positive squared
-    norms can match.  ``verify`` applies this to a matrix file before
-    anything is allocated by its ``count``; :func:`verify_matrix` itself
-    accepts zero columns.
+    norms can match.  ``verify`` applies this to every matrix it reads,
+    before anything is allocated by the file's ``count``;
+    :func:`verify_matrix` itself accepts zero columns.
     """
     _require_rows(matrix)
     index = _first_zero((c for _, c, _ in matrix.entries), matrix.count)

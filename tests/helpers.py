@@ -405,6 +405,35 @@ def _rational_sqrt(q: Fraction) -> Fraction | None:
     return None
 
 
+def square_free_split(n: int) -> tuple[int, int]:
+    """(s, f) with n = s^2 * f and f square-free, for n >= 1, by trial
+    division: what is left once every d with d^2 <= n is divided out is 1
+    or a prime."""
+    s, f, d = 1, 1, 2
+    while d * d <= n:
+        while n % (d * d) == 0:
+            n //= d * d
+            s *= d
+        if n % d == 0:
+            n //= d
+            f *= d
+        d += 1
+    return s, f * n
+
+
+def canonical_radical(a: RadicalScalar) -> tuple[Fraction, int]:
+    """``a`` as (c, f) with a = c * sqrt(f) and f a square-free integer.
+
+    sqrt(p/q) = (sp / (sq * fq)) * sqrt(fp * fq) for p = sp^2 * fp and
+    q = sq^2 * fq; p and q are coprime, so fp * fq is square-free.
+    """
+    if a.sign == 0:
+        return Fraction(0), 1
+    sp, fp = square_free_split(a.num)
+    sq, fq = square_free_split(a.den)
+    return Fraction(a.sign * sp, sq * fq), fp * fq
+
+
 def reference_radical_sum_is_zero(terms: dict[Fraction, int]) -> bool:
     """Reference for ``verify._radical_sum_is_zero`` on Fractions: whether
     sum(m * sqrt(r)) over ``terms`` (radicand r -> m) is zero.

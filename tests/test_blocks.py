@@ -49,13 +49,13 @@ def test_build_block_degenerate_zero_entry():
     assert signs == [[0, 1], [1, 0]]
     assert squares == [[0, 1], [2, 0]]
     assert block.degenerate
-    assert not block.zero_second_row
 
 
 def test_build_block_zero_second_row_boundary():
     # x = a1+a2 forces the second row to vanish entirely
     block = build_block(3, 2, 1)
-    assert block.zero_second_row
+    assert [e.sign for e in block.entries[1]] == [0, 0]
+    assert block.degenerate
     assert block_row_sums_sq(block) == (3, 0)
     assert block_col_sums_sq(block) == (2, 1)
 
@@ -107,7 +107,7 @@ def test_random_feasible_blocks_are_exact():
         top, bottom = block.entries
         left, right = radical_product(top[0], bottom[0]), radical_product(top[1], bottom[1])
         assert left.radicand == right.radicand
-        assert left.sign == -right.sign or (left.is_zero() and right.is_zero())
+        assert left.sign == -right.sign or (left.sign == right.sign == 0)
         checked += 1
 
 
@@ -132,7 +132,7 @@ def test_block_cells_keep_reduced_fields(a1, a2, share, above):
         assert value.den > 0 and math.gcd(value.num, value.den) == 1
         assert (value.sign == 0) == (value.num == 0)
         assert value.radicand == F(value.num, value.den)
-    assert block.degenerate == any(value.is_zero() for value in cells)
+    assert block.degenerate == any(value.sign == 0 for value in cells)
     assert block_col_sums_sq(block) == (a1, a2)
     assert block_row_sums_sq(block) == (x, a1 + a2 - x)
 

@@ -13,6 +13,7 @@ from spectral_tetris import (
     InvalidDimsError,
     NotSortedError,
     OutOfRangeError,
+    Partition,
     RadicalScalar,
     SynthesisMatrix,
     TraceMismatchError,
@@ -196,7 +197,7 @@ def test_unit_tight_decomposes_along_the_gcd():
             if br == bc:
                 assert whole.entry(r, c) == part.entry(r % 2, c % 3)
             else:
-                assert whole.entry(r, c).is_zero()
+                assert whole.entry(r, c).sign == 0
     report = verify_matrix(whole)
     assert report.frame_bounds == (F(3, 2), F(3, 2))
 
@@ -325,7 +326,7 @@ def test_pnstc_builds_each_distinct_block_once(monkeypatch):
     mixed_specs = [random_mixed_spec(rng) for _ in range(500)]
     placed = built = 0
     for spec in [*unit_tight_specs, *shared_one_norm, *mixed_specs]:
-        if spec.trace_gap() != 0:
+        if sum(spec.norms_sq) != sum(spec.eigenvalues):
             continue
         keys = set()
         try:
@@ -382,6 +383,16 @@ def test_synthesis_matrix_is_a_hashable_value():
     assert hash(again) == hash(matrix)
     with pytest.raises(AttributeError):
         matrix.entries = ()
+
+
+def test_value_objects_built_from_lists_equal_and_hash_as_their_tuple_twins():
+    matrix = unit_tight(7, 4)
+    listed = SynthesisMatrix(matrix.dim, matrix.count, list(matrix.entries), list(matrix.block_log))
+    assert isinstance(listed.block_log, tuple)
+    assert listed == matrix and hash(listed) == hash(matrix)
+    partition = Partition(cuts=[1, 2])
+    assert partition.cuts == (1, 2)
+    assert partition == Partition(cuts=(1, 2)) and hash(partition) == hash(Partition(cuts=(1, 2)))
 
 
 def test_synthesis_matrix_drops_zeros_and_reads_cells():

@@ -276,6 +276,86 @@ def test_cli_verify_refuses_a_non_integral_float_in_an_int_field(tmp_path, capsy
     assert captured.err == f"error: malformed matrix file: {field} is not an integer\n"
 
 
+@pytest.mark.parametrize("command", ["check", "search"])
+def test_cli_refuses_a_non_integral_spec_dim(tmp_path, capsys, command):
+    # int() would read 1.7 as dim 1, and the one eigenvalue would match it
+    spec_path = tmp_path / "spec.json"
+    write_json(spec_path, {"dim": 1.7, "eigenvalues": ["2"], "unit": True})
+    assert main([command, str(spec_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: malformed spec file: 1.7 is not an integer\n"
+    write_json(spec_path, {"dim": 1.0, "eigenvalues": ["2"], "unit": True})
+    assert main(["check", str(spec_path)]) == 0
+    assert capsys.readouterr().out == "ready (partition 2)\n"
+
+
+UNIT_SPEC = {"dim": 2, "eigenvalues": ["2", "1"], "unit": True}
+
+
+@pytest.mark.parametrize(
+    "changes, phrase",
+    [
+        # a string is iterable: "12" would read as the eigenvalues 1, 2
+        ({"eigenvalues": "12"}, "'eigenvalues' must be a JSON array, not str"),
+        # an object iterates its keys: {"3": 1} would read as ["3"]
+        (
+            {"unit": None, "norms_squared": {"3": 1}},
+            "'norms_squared' must be a JSON array, not dict",
+        ),
+        # "false" is a nonempty string, so it used to build unit norms
+        ({"unit": "false"}, "'unit' must be true, false or null, not str"),
+        ({"unit": 1}, "'unit' must be true, false or null, not int"),
+    ],
+    ids=["eigenvalues-string", "norms_squared-object", "unit-string", "unit-number"],
+)
+def test_spec_literal_lists_are_arrays_and_unit_is_a_boolean(tmp_path, capsys, changes, phrase):
+    spec_path = tmp_path / "spec.json"
+    write_json(spec_path, {**UNIT_SPEC, **changes})
+    assert main(["check", str(spec_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed spec file: ")
+    assert phrase in captured.err and captured.err.count("\n") == 1
+
+
+def test_cli_verify_refuses_metadata_literals_outside_an_array(tmp_path, capsys):
+    # without --spec the targets come from the metadata: "21" read as 2, 1
+    spec_path, out = tmp_path / "spec.json", tmp_path / "out.json"
+    write_json(spec_path, UNIT_SPEC)
+    assert main(["construct", str(spec_path), str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["metadata"]["eigenvalues"] == ["2", "1"]
+    payload["metadata"]["eigenvalues"] = "21"
+    write_json(out, payload)
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: malformed matrix file metadata: "
+        "TypeError(\"'eigenvalues' must be a JSON array, not str\")\n"
+    )
+
+
+def test_cli_verify_refuses_a_zero_column_in_a_csv_as_in_json(tmp_path, capsys):
+    csv_path, json_path = tmp_path / "m.csv", tmp_path / "m.json"
+    csv_path.write_text("1,0,0\n0,1,0\n", encoding="utf-8")
+    entries = [
+        {"row": r, "col": r, "sign": 1, "rad": {"num": 1, "den": 1}} for r in range(2)
+    ]
+    write_json(json_path, {"dim": 2, "count": 3, "entries": entries})
+    zero_column = "not a frame: column 2 is zero; no spec's positive squared norms match it\n"
+    assert main(["verify", str(json_path)]) == 2
+    assert capsys.readouterr().err == zero_column
+    assert main(["verify", str(csv_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "warning: CSV input is float data; verifying in float mode\n" + zero_column
+    )
+
+
 def test_cli_loads_every_spec_file_through_load_spec_file(tmp_path, monkeypatch, capsys):
     # bench/tracing.py times spec loading by wrapping this module attribute;
     # check, construct and search print the loader's warnings, verify does not

@@ -8,7 +8,6 @@ from spectral_tetris import (
     FrameSpec,
     RadicalScalar,
     ZeroRowError,
-    canonicalize,
     check_ready,
     pnstc,
     sparsity,
@@ -18,6 +17,7 @@ from spectral_tetris import (
 )
 from spectral_tetris.verify import _square_sums
 from helpers import (
+    canonical_radical,
     cell,
     matrix_from_grid,
     radical_product,
@@ -148,8 +148,8 @@ def _canonical_sum(products) -> dict[int, Fraction]:
     """Square-free part -> coefficient of a sum of radical products."""
     groups: dict[int, Fraction] = {}
     for product in products:
-        canon = canonicalize(product)
-        groups[canon.square_free] = groups.get(canon.square_free, F(0)) + canon.coefficient
+        coefficient, square_free = canonical_radical(product)
+        groups[square_free] = groups.get(square_free, F(0)) + coefficient
     return {key: value for key, value in groups.items() if value != 0}
 
 
