@@ -68,6 +68,11 @@ class BlockRecord:
     rows: tuple[int, int]
     cols: tuple[int, int]
 
+    def __post_init__(self):
+        if type(self.rows) is not tuple or type(self.cols) is not tuple:
+            object.__setattr__(self, "rows", tuple(self.rows))
+            object.__setattr__(self, "cols", tuple(self.cols))
+
 
 Entry = tuple[int, int, RadicalScalar]  # (row, col, value)
 
@@ -112,12 +117,6 @@ class SynthesisMatrix:
         if i < len(self.entries) and _column_major(self.entries[i]) == (col, row):
             return self.entries[i][2]
         return RadicalScalar.zero()
-
-    def to_float_rows(self) -> list[list[float]]:
-        dense = [[0.0] * self.count for _ in range(self.dim)]
-        for r, c, value in self.entries:
-            dense[r][c] = float(value)
-        return dense
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,9 @@ as ``1.25``, squared on ints, make one Fraction each.
 Matrix file: entries sorted by (col, row), no explicit zeros, each entry
 ``{"row": r, "col": c, "sign": s, "rad": {"num": p, "den": q}}``.
 ``dump_matrix_file`` writes it directly, byte-identical to
-``canonical_json`` of the same payload; the indenting JSON encoder runs
-in pure Python and took most of the dump time.
+``canonical_json`` of the same payload.  Float CSV: one line per row,
+each cell a ``.17g`` decimal; the writer and the loader touch only the
+nonzeros, and neither builds a dense matrix.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import json
 import math
 import re
 from fractions import Fraction
+from itertools import compress
 from typing import Any
 
 from . import __version__
@@ -361,34 +363,35 @@ def spec_from_matrix_metadata(payload: dict) -> FrameSpec | None:
 
 
 def dump_float_csv(matrix: SynthesisMatrix) -> str:
-    """Row-major decimal dump with 17 significant digits."""
+    """Row-major ``.17g`` dump: rows start as ``"0"`` cells; only nonzeros are formatted."""
+    cells: list[list] = [[] for _ in range(matrix.dim)]  # row -> (col, text)
+    for r, c, value in matrix.entries:
+        cells[r].append((c, f"{float(value):.17g}"))
     lines = []
-    for row in matrix.to_float_rows():
-        lines.append(",".join(f"{value:.17g}" for value in row))
+    for row in cells:
+        line = ["0"] * matrix.count
+        for c, text in row:
+            line[c] = text
+        lines.append(",".join(line))
     return "\n".join(lines) + "\n"
 
 
 def load_float_csv(path: str) -> SynthesisMatrix:
     """Read a plain CSV of finite decimals; every value is representable
-    exactly as sign * sqrt(value^2) so squared sums stay exact."""
-    rows: list[list[float]] = []
+    exactly as sign * sqrt(value^2) so squared sums stay exact.  A bad
+    decimal is reported first, then an empty, ragged or non-finite matrix."""
+    nonzeros = []  # (row, col, value), row-major
+    widths = []  # cells per line
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            rows.append([float(cell) for cell in line.split(",")])
-    if not rows:
+        for r, line in enumerate(filter(None, map(str.strip, handle))):
+            values = list(map(float, line.split(",")))
+            widths.append(len(values))
+            nonzeros += ((r, c, x) for c, x in compress(enumerate(values), values))  # keeps nan
+    if not widths:
         raise ValueError("empty CSV matrix")
-    width = len(rows[0])
-    if any(len(row) != width for row in rows):
+    if len(set(widths)) > 1:
         raise ValueError("ragged CSV matrix")
-    if not all(math.isfinite(value) for row in rows for value in row):
+    if not all(math.isfinite(value) for _, _, value in nonzeros):
         raise ValueError("CSV matrix values must be finite")
-    entries = [
-        (r, c, RadicalScalar.of_rational(Fraction(value)))
-        for c, column in enumerate(zip(*rows))
-        for r, value in enumerate(column)
-        if value != 0.0
-    ]
-    return SynthesisMatrix(dim=len(rows), count=width, entries=entries, block_log=())
+    entries = [(r, c, RadicalScalar.of_rational(Fraction(value))) for r, c, value in nonzeros]
+    return SynthesisMatrix(dim=len(widths), count=widths[0], entries=entries, block_log=())

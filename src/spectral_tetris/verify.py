@@ -7,9 +7,10 @@ compared with the spec's own int pairs; the report makes one Fraction per
 distinct sum.
 
 Two rows can have a nonzero inner product only through the columns they
-share, so orthogonality walks the column runs of the entries (stored
-sorted by column) and looks only at row pairs that meet in some column:
-O(sum of nnz_c^2) cross terms instead of O(N^2) row pairs.
+share.  Both modes decide those row pairs through one walker, one row at
+a time, and stop at the first pair that fails: memory is O(nnz) plus one
+row's pairs, and time O(sum of nnz_c^2), a sparse Gram matrix, when
+every pair must be decided.
 
 Exact mode decides each pair's sum of signed radicals on ints, without
 factoring.  The cross term of the entries sqrt(n1/d1) and sqrt(n2/d2)
@@ -18,29 +19,26 @@ positive rationals from distinct square classes are linearly
 independent over Q (Besicovitch, 1940), and sqrt(P), sqrt(P0) share a
 class iff P*P0 is a perfect square, which one ``math.isqrt`` settles.
 Each class sums its terms as an int ``num / den`` pair, so a sum is
-zero iff every class numerator is 0.  Float mode accumulates the
-same cross terms as doubles, in ascending column order, and compares
-each normalized inner product against a tolerance.  Frame bounds come
-from the row sums once the frame operator is verified diagonal.
+zero iff every class numerator is 0.  Float mode adds the same cross
+terms as doubles, in ascending column order, and compares each
+normalized inner product against a tolerance.  Frame bounds come from
+the row sums once the frame operator is verified diagonal.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
-from operator import itemgetter
 
-from .construct import Entry, SynthesisMatrix
+from .construct import SynthesisMatrix
 from .errors import ZeroColumnError, ZeroRowError
 from .readiness import FrameSpec, Ratio
 from .scalar import add_ratios
 from .scalar import canonicalize  # noqa: F401  (bench/tracing.py wraps verify.canonicalize)
 
 DEFAULT_FLOAT_TOL = 1e-10
-
-Column = list[Entry]  # the nonzero entries of one column, by row
 
 
 @dataclass(frozen=True)
@@ -63,7 +61,7 @@ class VerificationReport:
 
 def sparsity(matrix: SynthesisMatrix) -> tuple[int, int]:
     """(number of nonzero entries, maximum nonzeros in any column)."""
-    return len(matrix.entries), max(map(len, _columns(matrix)), default=0)
+    return len(matrix.entries), max(Counter(c for _, c, _ in matrix.entries).values(), default=0)
 
 
 def _first_zero(indices, size: int) -> int | None:
@@ -115,19 +113,37 @@ def _square_sums(matrix: SynthesisMatrix) -> tuple[list[Ratio], list[Ratio]]:
     return list(zip(row_num, row_den)), list(zip(col_num, col_den))
 
 
-def _columns(matrix: SynthesisMatrix) -> list[Column]:
-    """The runs of entries that share a column; empty columns have none."""
-    return [list(run) for _, run in groupby(matrix.entries, key=itemgetter(1))]
+def _row_pairs(entries):
+    """Per row i with a later row in a shared column, ``(i, partners)``: each
+    such row j maps to the ``(value of i, value of j)`` of their shared
+    columns, in column order.  ``entries`` are sorted by (col, row)."""
+    index: dict[int, list] = {}  # row -> (its column's run, its place there)
+    column = None
+    for entry in entries:
+        if entry[1] == column:
+            index.setdefault(run[-1][0], []).append((run, len(run) - 1))
+            run.append(entry)
+        else:
+            column, run = entry[1], [entry]
+    for i, places in index.items():
+        partners: dict[int, list] = {}
+        for run, place in places:
+            left = run[place][2]
+            for j, _, right in run[place + 1 :]:
+                partners.setdefault(j, []).append((left, right))
+        yield i, partners
 
 
-def _radical_sum_is_zero(terms: dict[tuple[int, int], int]) -> bool:
-    """Whether sum(m * sqrt(P) / q) over ``terms`` ((P, q) -> m) is zero.
-
-    Every P is positive.  Terms are merged into square classes, each with
-    a representative P0: sqrt(P) = isqrt(P * P0) / sqrt(P0) when P * P0
-    is a perfect square.  A class keeps sum(m * isqrt(P * P0) / q) as
-    an exact int ``num / den``, so the sum is zero iff every num is 0.
-    """
+def _radical_sum_is_zero(products) -> bool:
+    """Whether the sum of the radical products ``left * right`` is zero:
+    equal (P, q) terms are added, then merged into square classes with
+    representatives P0, as sqrt(P) = isqrt(P * P0) / sqrt(P0) when P * P0
+    is a perfect square; each class sums as an exact int ``num / den``."""
+    terms: dict[tuple[int, int], int] = {}  # (P, q) -> sum of sign products
+    for left, right in products:
+        q = left.den * right.den
+        term = (left.num * right.num * q, q)
+        terms[term] = terms.get(term, 0) + left.sign * right.sign
     classes: list[list[int]] = []  # [P0, num, den]
     for (product, q), multiplicity in terms.items():
         if multiplicity == 0:
@@ -143,48 +159,30 @@ def _radical_sum_is_zero(terms: dict[tuple[int, int], int]) -> bool:
     return all(num == 0 for _, num, _ in classes)
 
 
-def _rows_orthogonal_exact(columns: list[Column]) -> bool:
-    # Per sharing row pair (i < j): (P, q) -> sum of sign products.  The
-    # entries sqrt(n1/d1) and sqrt(n2/d2) multiply to sqrt(P) / q with
-    # P = n1*n2*d1*d2 and q = d1*d2.
-    pairs: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
-    for column in columns:
-        for a in range(len(column) - 1):
-            row_a, _, left = column[a]
-            n_a, d_a = left.num, left.den
-            for row_b, _, right in column[a + 1 :]:
-                key = (row_a, row_b) if row_a < row_b else (row_b, row_a)
-                terms = pairs.setdefault(key, {})
-                q = d_a * right.den
-                term = (n_a * right.num * q, q)
-                terms[term] = terms.get(term, 0) + left.sign * right.sign
-    return all(_radical_sum_is_zero(terms) for terms in pairs.values())
-
-
-def _rows_orthogonal_float(matrix: SynthesisMatrix, columns: list[Column], tol: float) -> bool:
-    # Terms are added in ascending column order, the order of a dense row
-    # dot product; the zero terms a dense product adds change no sum.
-    # Each row is scaled by the power of two that puts its largest entry
-    # in [0.5, 1), so no product or square overflows.  Scaling by a power
-    # of two is exact and the test is homogeneous in each row, so a
-    # verdict reached without overflow or underflow is bit-identical.
-    floats = [[(r, float(value)) for r, _, value in column] for column in columns]
+def _rows_orthogonal_float(matrix: SynthesisMatrix, tol: float) -> bool:
+    # Each pair's terms are added in ascending column order, as in a dense
+    # dot product.  Each row is scaled by the power of two that puts its
+    # largest entry in [0.5, 1), so no product or square overflows; that
+    # is exact and the test is homogeneous in each row, so a verdict
+    # reached without overflow or underflow is bit-identical.
+    floats = [(r, c, float(value)) for r, c, value in matrix.entries]
     largest = [0.0] * matrix.dim
-    for column in floats:
-        for r, x in column:
-            largest[r] = max(largest[r], abs(x))
+    for r, _, x in floats:
+        largest[r] = max(largest[r], abs(x))
     shifts = [-math.frexp(x)[1] for x in largest]
+    scaled = [(r, c, math.ldexp(x, shifts[r])) for r, c, x in floats]
     norms_sq = [0.0] * matrix.dim
-    inner: dict[tuple[int, int], float] = {}
-    for column in floats:
-        values = [(r, math.ldexp(x, shifts[r])) for r, x in column]
-        for a, (row_a, x) in enumerate(values):
-            norms_sq[row_a] += x * x
-            for row_b, y in values[a + 1 :]:
-                key = (row_a, row_b) if row_a < row_b else (row_b, row_a)
-                inner[key] = inner.get(key, 0.0) + x * y
+    for r, _, x in scaled:
+        norms_sq[r] += x * x
     norms = [total**0.5 for total in norms_sq]
-    return not any(abs(total) > tol * norms[i] * norms[j] for (i, j), total in inner.items())
+    for i, partners in _row_pairs(scaled):
+        for j, products in partners.items():
+            total = 0.0
+            for x, y in products:
+                total += x * y
+            if abs(total) > tol * norms[i] * norms[j]:
+                return False
+    return True
 
 
 def verify_matrix(
@@ -201,12 +199,12 @@ def verify_matrix(
     if tol is not None and not tol >= 0:
         raise ValueError(f"tolerance must be nonnegative, got {tol!r}")
     rows, cols = _square_sums(matrix)
-    columns = _columns(matrix)
     if tol is None:
-        orthogonal = _rows_orthogonal_exact(columns)
+        pairs = (pair for _, partners in _row_pairs(matrix.entries) for pair in partners.values())
+        orthogonal = all(map(_radical_sum_is_zero, pairs))
         mode_label = "exact"
     else:
-        orthogonal = _rows_orthogonal_float(matrix, columns, tol)
+        orthogonal = _rows_orthogonal_float(matrix, tol)
         mode_label = f"float({tol:g})"
     matches: bool | None = None
     if spec is not None:

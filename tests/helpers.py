@@ -41,6 +41,24 @@ def grid(matrix: SynthesisMatrix) -> list[list[tuple[int, Fraction]]]:
     ]
 
 
+def dense_float_rows(matrix: SynthesisMatrix) -> list[list[float]]:
+    """Dense float view, every cell of every row: the reference the sparse
+    float CSV writer and loader are checked against."""
+    dense = [[0.0] * matrix.count for _ in range(matrix.dim)]
+    for r, c, value in matrix.entries:
+        dense[r][c] = float(value)
+    return dense
+
+
+def dense_float_csv(matrix: SynthesisMatrix) -> str:
+    """Reference for ``formats.dump_float_csv``: every cell of
+    ``dense_float_rows`` formatted with 17 significant digits."""
+    lines = []
+    for row in dense_float_rows(matrix):
+        lines.append(",".join(f"{value:.17g}" for value in row))
+    return "\n".join(lines) + "\n"
+
+
 def cell(sign: int, radicand) -> tuple[int, Fraction]:
     return (sign, Fraction(radicand))
 

@@ -6,6 +6,7 @@ import pytest
 
 from spectral_tetris import (
     BlockKind,
+    BlockRecord,
     ConstructionStuckError,
     DegenerateSpectrumError,
     FrameSpec,
@@ -393,6 +394,10 @@ def test_value_objects_built_from_lists_equal_and_hash_as_their_tuple_twins():
     partition = Partition(cuts=[1, 2])
     assert partition.cuts == (1, 2)
     assert partition == Partition(cuts=(1, 2)) and hash(partition) == hash(Partition(cuts=(1, 2)))
+    record = BlockRecord(BlockKind.SINGLETON, [0, 0], [0, 0])
+    assert record.rows == record.cols == (0, 0)
+    twin = BlockRecord(BlockKind.SINGLETON, (0, 0), (0, 0))
+    assert record == twin and hash(record) == hash(twin)
 
 
 def test_synthesis_matrix_drops_zeros_and_reads_cells():

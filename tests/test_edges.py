@@ -47,6 +47,25 @@ def test_unit_spec_needs_an_integer_mass():
         )
 
 
+@pytest.mark.parametrize(
+    "text, phrase",
+    [
+        ("1,2\n3\n1,x\n", "could not convert string to float: 'x'"),
+        ("1,y\n\nz\n", "could not convert string to float: 'y'"),
+        ("\n \n", "empty CSV matrix"),
+        ("nan,1\n3\n", "ragged CSV matrix"),
+        ("1,0\n0,-inf\n", "CSV matrix values must be finite"),
+    ],
+)
+def test_csv_loader_reports_faults_in_a_fixed_order(tmp_path, text, phrase):
+    # a bad decimal (the first in the file), then empty, ragged, non-finite
+    path = tmp_path / "matrix.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as caught:
+        formats.load_float_csv(str(path))
+    assert str(caught.value) == phrase
+
+
 def test_csv_loader_rejects_bad_shapes(tmp_path):
     ragged = tmp_path / "ragged.csv"
     ragged.write_text("1,2\n3\n", encoding="utf-8")
@@ -558,6 +577,26 @@ def test_cli_verify_on_many_square_classes_stays_fast(tmp_path):
     done = _cli_in_a_child("verify", str(path))
     assert done.returncode == 2, done.stderr
     assert json.loads(done.stdout)["orthogonal"] is False
+
+
+@pytest.mark.parametrize("name, mode", [("ones.json", "exact"), ("ones.json", "float"), ("ones.csv", None)])
+def test_cli_verify_on_one_column_of_twenty_thousand_ones_stays_small(tmp_path, name, mode):
+    # the column is shared by 2 * 10**8 row pairs; a table of them all
+    # would not fit in the child's 1 GiB, but the first pair decides
+    dim = 20_000
+    path = tmp_path / name
+    if name.endswith(".csv"):
+        path.write_text("1\n" * dim, encoding="utf-8")
+    else:
+        path.write_text(json.dumps({"dim": dim, "count": 1, "entries": [_entry(r, 0) for r in range(dim)]}))
+    done = _cli_in_a_child("verify", str(path), *(("--mode", mode) if mode else ()))
+    assert done.returncode == 2, done.stderr
+    payload = json.loads(done.stdout)
+    assert payload["orthogonal"] is False and payload["frameBounds"] is None
+    assert payload["rowSquareSums"] == ["1"] * dim and payload["colSquareSums"] == [str(dim)]
+    assert payload["orthogonalityMode"] == ("exact" if mode == "exact" else "float(1e-10)")
+    warning = "warning: CSV input is float data; verifying in float mode\n"
+    assert done.stderr == ("" if mode else warning)
 
 
 @pytest.mark.parametrize("dim", [10_000, 1])

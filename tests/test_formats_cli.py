@@ -6,6 +6,7 @@ import pytest
 from spectral_tetris import FrameSpec, pnstc, verify_matrix
 from spectral_tetris import cli, formats
 from spectral_tetris.cli import main
+from helpers import dense_float_rows
 
 F = Fraction
 
@@ -98,8 +99,8 @@ def test_float_csv_round_trip(tmp_path):
     csv_path = tmp_path / "matrix.csv"
     csv_path.write_text(formats.dump_float_csv(matrix), encoding="utf-8")
     loaded = formats.load_float_csv(str(csv_path))
-    dense = loaded.to_float_rows()
-    assert dense == matrix.to_float_rows()
+    dense = dense_float_rows(loaded)
+    assert dense == dense_float_rows(matrix)
     report = verify_matrix(loaded, tol=1e-10)
     assert report.orthogonal
     # squared sums of exact float squares reproduce the targets here

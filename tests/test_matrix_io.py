@@ -7,11 +7,14 @@ one value among entries with equal raw fields and builds it from ints;
 it must accept, reject and build exactly what one Fraction per entry
 (``helpers.radical_via_fraction``) does.  The
 spec and metadata parsers parse each distinct literal once; they must
-give what one ``parse_rational`` per literal gives.
+give what one ``parse_rational`` per literal gives.  The float CSV writer
+formats only the nonzeros; it must equal the dense writer
+``helpers.dense_float_csv`` byte for byte.
 """
 
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -31,7 +34,13 @@ from spectral_tetris import (
     unit_tight,
 )
 from spectral_tetris import formats
-from helpers import matrix_from_payload_per_entry, matrix_to_payload, random_mixed_spec
+from helpers import (
+    dense_float_csv,
+    matrix_from_payload_per_entry,
+    matrix_to_payload,
+    random_mixed_spec,
+    random_ready_spec,
+)
 
 
 def assert_round_trip(matrix, spec=None):
@@ -163,3 +172,31 @@ def test_spec_literals_parse_as_one_parse_rational_each():
         formats.spec_from_matrix_metadata({"metadata": {**metadata, "eigenvalues": ["1", [1]]}})
     with pytest.raises(ValueError, match="not a rational literal"):
         formats.parse_spec_payload({"dim": 2, "eigenvalues": ["1", [1]], "unit": True})
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32))
+def test_float_csv_writer_matches_the_dense_writer_on_ready_specs(seed):
+    matrix = pnstc(random_ready_spec(random.Random(seed), max_dim=8, max_count=16))
+    assert formats.dump_float_csv(matrix) == dense_float_csv(matrix)
+
+
+def test_float_csv_writer_prints_an_underflow_as_its_signed_zero():
+    tiny = RadicalScalar(-1, Fraction(1, 10**700))  # float() gives -0.0
+    matrix = SynthesisMatrix(2, 3, [(0, 0, tiny), (1, 2, RadicalScalar(1, Fraction(2)))], ())
+    assert formats.dump_float_csv(matrix) == dense_float_csv(matrix) == "-0,0,0\n0,0,1.4142135623730951\n"
+
+
+def test_float_csv_loader_keeps_only_the_nonzeros(tmp_path):
+    # a loader that holds all 1000 x 1999 floats peaks near 62 MB on this 4 MB file
+    matrix = unit_tight(1999, 1000)
+    path = tmp_path / "matrix.csv"
+    path.write_text(formats.dump_float_csv(matrix), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        loaded = formats.load_float_csv(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+    assert [(r, c) for r, c, _ in loaded.entries] == [(r, c) for r, c, _ in matrix.entries]

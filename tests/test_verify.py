@@ -19,6 +19,7 @@ from spectral_tetris.verify import _square_sums
 from helpers import (
     canonical_radical,
     cell,
+    dense_float_rows,
     matrix_from_grid,
     radical_product,
     random_mixed_spec,
@@ -174,7 +175,7 @@ def _oracle_exact(matrix) -> bool:
 
 def _oracle_float(matrix, tol=1e-10) -> bool:
     """Dense row dot products against the normalized tolerance."""
-    dense = matrix.to_float_rows()
+    dense = dense_float_rows(matrix)
     norms = [sum(x * x for x in row) ** 0.5 for row in dense]
     return not any(
         abs(sum(x * y for x, y in zip(dense[i], dense[j]))) > tol * norms[i] * norms[j]
