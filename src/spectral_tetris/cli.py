@@ -40,7 +40,8 @@ def _not_ready_line(violation, detail) -> str:
 
 
 def _write_files(outputs) -> None:
-    """Write every ``(path, text)`` pair, or leave no new file behind.
+    """Write every ``(path, chunks)`` pair, the chunks an iterable of text
+    written in order, or leave no new file behind.
     A missing target's text goes to a temporary file beside it, renamed
     into place once all writes succeeded; an existing one (a file, a
     symlink, a device) is written through in place, as ``open(path, "w")``
@@ -53,9 +54,9 @@ def _write_files(outputs) -> None:
             fresh[path] = f"{os.path.realpath(path)}.{os.getpid()}.{i}.tmp"
     try:
         # new files first: a failure there leaves every existing target as it was
-        for path, text in sorted(outputs, key=lambda output: output[0] not in fresh):
+        for path, chunks in sorted(outputs, key=lambda output: output[0] not in fresh):
             with open(fresh.get(path, path), "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(text)
+                handle.writelines(chunks)
         for path, temp in fresh.items():
             os.replace(temp, os.path.realpath(path))
     except BaseException as exc:
@@ -77,11 +78,13 @@ def _load_spec(path: str):
 def cmd_construct(args) -> int:
     spec = _load_spec(args.spec)
     matrix = pnstc(spec)
-    # render every output before opening any, so a failed render (a CSV
-    # value beyond the double range) leaves no file behind
-    outputs = [(args.out, formats.dump_matrix_file(matrix, spec, reproducible=args.reproducible))]
+    # convert every value before opening any file, so a failed render (a
+    # CSV value beyond the double range) leaves no file behind; the CSV's
+    # lines are made one at a time as they are written
+    text = formats.dump_matrix_file(matrix, spec, reproducible=args.reproducible)
+    outputs = [(args.out, [text])]
     if args.float_csv:
-        outputs.append((args.float_csv, formats.dump_float_csv(matrix)))
+        outputs.append((args.float_csv, formats._float_csv_lines(matrix)))
     _write_files(outputs)
     print(f"wrote {matrix.dim}x{matrix.count} matrix ({len(matrix.entries)} nonzeros) to {args.out}")
     return EXIT_OK
@@ -200,7 +203,7 @@ def cmd_equal_norm(args) -> int:
     r, spec, matrix = equal_norm_frame(eigenvalues, r_override=args.r)
     text = formats.dump_matrix_file(matrix, spec, reproducible=args.reproducible)
     if args.out:
-        _write_files([(args.out, text)])
+        _write_files([(args.out, [text])])
         print(f"r={r}: wrote {matrix.dim}x{matrix.count} matrix to {args.out}")
     else:
         sys.stdout.write(text)

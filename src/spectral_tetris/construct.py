@@ -16,6 +16,14 @@ and reuses its cells: equal-norm and tight specs repeat the same few
 blocks, e.g. at most L - 1 distinct ones for unit norms at redundancy
 (2L-1)/L.
 
+The public :class:`SynthesisMatrix` and :class:`BlockRecord` constructors
+check what they are given.  ``pnstc`` builds both through private paths
+(:func:`_synthesis_matrix`, :func:`_block_record`) that check nothing: the
+cursor places each column once, in (col, row) order, so the entries are
+already sorted with no cell twice, and only a degenerate block, when one
+was built, has zero cells to drop.  ``formats`` reads a matrix file's
+block log through :func:`_block_record` too, after its own checks.
+
 ``stc`` is the unit-norm specialization; ``unit_tight`` the unit-norm
 tight constructor with its closed-form feasibility test (redundancy >= 2,
 or reduced redundancy of the form (2L-1)/L); ``equal_norm_frame`` runs
@@ -74,6 +82,21 @@ class BlockRecord:
             object.__setattr__(self, "cols", tuple(self.cols))
 
 
+# The private constructors set the fields past the checks of
+# ``__post_init__`` with the setter a frozen dataclass's ``__init__`` uses;
+# writing ``__dict__`` instead would give every instance a dict of its own.
+_new, _set = object.__new__, object.__setattr__
+
+
+def _block_record(kind: BlockKind, rows: tuple[int, int], cols: tuple[int, int]) -> BlockRecord:
+    """A :class:`BlockRecord` of spans that are tuples already."""
+    record = _new(BlockRecord)
+    _set(record, "kind", kind)
+    _set(record, "rows", rows)
+    _set(record, "cols", cols)
+    return record
+
+
 Entry = tuple[int, int, RadicalScalar]  # (row, col, value)
 
 _column_major = itemgetter(1, 0)
@@ -119,6 +142,17 @@ class SynthesisMatrix:
         return RadicalScalar.zero()
 
 
+def _synthesis_matrix(dim: int, count: int, entries: tuple, block_log: tuple) -> SynthesisMatrix:
+    """A :class:`SynthesisMatrix` of entries already sorted by (col, row),
+    inside the matrix, with no cell twice and no zero value."""
+    matrix = _new(SynthesisMatrix)
+    _set(matrix, "dim", dim)
+    _set(matrix, "count", count)
+    _set(matrix, "entries", entries)
+    _set(matrix, "block_log", block_log)
+    return matrix
+
+
 @dataclass(frozen=True)
 class UnitTightVerdict:
     """Closed-form feasibility of a unit-norm tight frame.
@@ -151,6 +185,7 @@ def pnstc(spec: FrameSpec) -> SynthesisMatrix:
     # and its kind.
     roots: dict[tuple[int, int], RadicalScalar] = {}
     blocks: dict[tuple, tuple] = {}
+    degenerate = False
     for row, col, x in _cursor(spec):
         if x is None:
             pair = pairs[col]
@@ -158,13 +193,14 @@ def pnstc(spec: FrameSpec) -> SynthesisMatrix:
             if root is None:
                 root = roots[pair] = _radical(1, *pair)
             entries.append((row, col, root))
-            log.append(BlockRecord(BlockKind.SINGLETON, (row, row), (col, col)))
+            log.append(_block_record(BlockKind.SINGLETON, (row, row), (col, col)))
             continue
         key = (x, pairs[col], pairs[col + 1])
         made = blocks.get(key)
         if made is None:
             block = build_block(Fraction(*x), norms[col], norms[col + 1])
             (top_left, top_right), (bottom_left, bottom_right) = block.entries
+            degenerate |= block.degenerate
             kind = BlockKind.DEGENERATE_BLOCK if block.degenerate else BlockKind.BLOCK_2X2
             made = blocks[key] = (top_left, bottom_left, top_right, bottom_right, kind)
         top_left, bottom_left, top_right, bottom_right, kind = made
@@ -174,8 +210,10 @@ def pnstc(spec: FrameSpec) -> SynthesisMatrix:
             (row, col + 1, top_right),
             (row + 1, col + 1, bottom_right),
         )
-        log.append(BlockRecord(kind, (row, row + 1), (col, col + 1)))
-    return SynthesisMatrix(dim=spec.dim, count=spec.count, entries=entries, block_log=log)
+        log.append(_block_record(kind, (row, row + 1), (col, col + 1)))
+    if degenerate:  # a degenerate block's cells are the only ones that can be zero
+        entries = [entry for entry in entries if entry[2].sign]
+    return _synthesis_matrix(spec.dim, spec.count, tuple(entries), tuple(log))
 
 
 def stc(eigenvalues, count: int) -> SynthesisMatrix:

@@ -35,8 +35,14 @@ from itertools import compress
 from typing import Any
 
 from . import __version__
-from .construct import MAX_EQUAL_NORM_VECTORS, BlockKind, BlockRecord, SynthesisMatrix
-from .readiness import FrameSpec
+from .construct import (
+    MAX_EQUAL_NORM_VECTORS,
+    BlockKind,
+    BlockRecord,
+    SynthesisMatrix,
+    _block_record,
+)
+from .readiness import FrameSpec, _frame_spec
 from .scalar import (
     RadicalScalar,
     describe_rational,
@@ -78,25 +84,35 @@ def canonical_json(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _parse_each(payload: dict, key: str, parse=parse_rational) -> tuple:
+def _parse_each(payload: dict, key: str, parse=parse_rational) -> tuple[tuple, tuple]:
     """``parse`` over the ``str`` of each item of the JSON array
     ``payload[key]``, parsing each distinct literal once; anything but an
     array raises TypeError.
 
-    Literals are parsed in list order, so a bad one is reported where the
-    plain per-item loop would report it.
+    Returns the results and, item for item, the reduced ``(num, den)``
+    pair of each result's Fraction (``parse`` gives a Fraction, or a
+    Fraction and its note), read once per distinct literal and shared
+    per distinct value, as :class:`FrameSpec` shares them.  Literals are
+    parsed in list order, so a bad one is reported where the plain
+    per-item loop would report it.
     """
     literals = payload[key]
     if type(literals) is not list:
         raise TypeError(f"{key!r} must be a JSON array, not {type(literals).__name__}")
-    parsed: dict = {}
-    values = []
+    parsed: dict = {}  # literal -> (result, pair)
+    shared: dict = {}  # pair -> the one equal pair kept
+    results, pairs = [], []
     for text in map(str, literals):
-        value = parsed.get(text)
-        if value is None:
-            value = parsed[text] = parse(text)
-        values.append(value)
-    return tuple(values)
+        made = parsed.get(text)
+        if made is None:
+            result = parse(text)
+            value = result[0] if type(result) is tuple else result
+            pair = (value.numerator, value.denominator)
+            made = parsed[text] = (result, shared.setdefault(pair, pair))
+        result, pair = made
+        results.append(result)
+        pairs.append(pair)
+    return tuple(results), tuple(pairs)
 
 
 _PLAIN_DECIMAL = re.compile(r"([0-9]+)(?:\.([0-9]*))?")
@@ -159,11 +175,16 @@ def _square_norm(text: str) -> tuple[Fraction, str | None]:
 
 @_parsed_json("spec file")
 def parse_spec_payload(payload: dict) -> tuple[FrameSpec, list[str]]:
-    """Build a FrameSpec from a parsed spec file; returns (spec, warnings)."""
+    """Build a FrameSpec from a parsed spec file; returns (spec, warnings).
+
+    The spec is built through ``readiness._frame_spec`` from the values and
+    the pairs :func:`_parse_each` makes together, with the checks and
+    errors of the public constructor.
+    """
     warnings: list[str] = []
     if "dim" not in payload or "eigenvalues" not in payload:
         raise ValueError("spec file needs 'dim' and 'eigenvalues'")
-    eigenvalues = _parse_each(payload, "eigenvalues")
+    eigenvalues, eigen_pairs = _parse_each(payload, "eigenvalues")
     if _int_field(payload["dim"], "spec file") != len(eigenvalues):
         raise ValueError(
             f"dim is {payload['dim']} but {len(eigenvalues)} eigenvalues were given"
@@ -175,9 +196,9 @@ def parse_spec_payload(payload: dict) -> tuple[FrameSpec, list[str]]:
     if len(provided) != 1:
         raise ValueError("provide exactly one of norms_squared, norms, unit")
     if provided[0] == "norms_squared":
-        norms_sq = _parse_each(payload, "norms_squared")
+        norms_sq, norm_pairs = _parse_each(payload, "norms_squared")
     elif provided[0] == "norms":
-        squares = _parse_each(payload, "norms", _square_norm)
+        squares, norm_pairs = _parse_each(payload, "norms", _square_norm)
         norms_sq = tuple(value for value, _ in squares)
         warnings.append(
             "decimal norms are a lossy input path; pass norms_squared for exact results"
@@ -194,8 +215,8 @@ def parse_spec_payload(payload: dict) -> tuple[FrameSpec, list[str]]:
         if total > MAX_EQUAL_NORM_VECTORS:  # an equal-norm spec: the same limit
             limit = MAX_EQUAL_NORM_VECTORS
             raise ValueError(f"{describe_rational(total)} unit norms exceed the limit of {limit}")
-        norms_sq = (Fraction(1),) * int(total)
-    return FrameSpec(eigenvalues=eigenvalues, norms_sq=norms_sq), warnings
+        norms_sq, norm_pairs = (Fraction(1),) * int(total), ((1, 1),) * int(total)
+    return _frame_spec(eigenvalues, norms_sq, eigen_pairs, norm_pairs), warnings
 
 
 def load_json_file(path: str, what: str) -> Any:
@@ -310,7 +331,10 @@ def matrix_from_payload(payload: dict) -> SynthesisMatrix:
     """Build a matrix from a parsed matrix file.
 
     Raises ValueError unless the payload is an object with ``dim``,
-    ``count`` and ``entries``; :class:`SynthesisMatrix` checks the cells.
+    ``count`` and ``entries``; the public :class:`SynthesisMatrix`
+    constructor checks the cells.  Block-log records are built through
+    ``construct._block_record`` once their spans are tuples of ints and
+    their kind is a :class:`BlockKind`.
     Entries with equal raw ``(sign, num, den)`` share one value, built
     once from the ints (:func:`~spectral_tetris.scalar.radical_of_ints`):
     values are immutable, and equal raw fields convert equally.  An int
@@ -336,13 +360,8 @@ def matrix_from_payload(payload: dict) -> SynthesisMatrix:
         kind = _KINDS.get(text) if type(text) is str else None
         if kind is None:  # BlockKind raises its own error on anything else
             kind = BlockKind(text)
-        log.append(
-            BlockRecord(
-                kind=kind,
-                rows=_int_tuple(record["rowSpan"]),
-                cols=_int_tuple(record["colSpan"]),
-            )
-        )
+        rows, cols = _int_tuple(record["rowSpan"]), _int_tuple(record["colSpan"])
+        log.append(_block_record(kind, rows, cols))
     return SynthesisMatrix(
         dim=_int_field(payload["dim"]),
         count=_int_field(payload["count"]),
@@ -355,25 +374,35 @@ def matrix_from_payload(payload: dict) -> SynthesisMatrix:
 def spec_from_matrix_metadata(payload: dict) -> FrameSpec | None:
     metadata = payload.get("metadata", {})
     if "eigenvalues" in metadata and "norms_squared" in metadata:
-        return FrameSpec(
-            eigenvalues=_parse_each(metadata, "eigenvalues"),
-            norms_sq=_parse_each(metadata, "norms_squared"),
-        )
+        eigenvalues, eigen_pairs = _parse_each(metadata, "eigenvalues")
+        norms_sq, norm_pairs = _parse_each(metadata, "norms_squared")
+        return _frame_spec(eigenvalues, norms_sq, eigen_pairs, norm_pairs)
     return None
+
+
+def _float_csv_lines(matrix: SynthesisMatrix):
+    """The lines of :func:`dump_float_csv`, each with its newline, made one
+    at a time as they are read.  Every nonzero is converted before this
+    returns, so a value beyond the double range raises here, before any
+    line is made."""
+    cells: list[list] = [[] for _ in range(matrix.dim)]  # row -> (col, text)
+    for r, c, value in matrix.entries:
+        cells[r].append((c, f"{float(value):.17g}"))
+    count = matrix.count
+
+    def lines():
+        for row in cells:
+            line = ["0"] * count
+            for c, text in row:
+                line[c] = text
+            yield ",".join(line) + "\n"
+
+    return lines()
 
 
 def dump_float_csv(matrix: SynthesisMatrix) -> str:
     """Row-major ``.17g`` dump: rows start as ``"0"`` cells; only nonzeros are formatted."""
-    cells: list[list] = [[] for _ in range(matrix.dim)]  # row -> (col, text)
-    for r, c, value in matrix.entries:
-        cells[r].append((c, f"{float(value):.17g}"))
-    lines = []
-    for row in cells:
-        line = ["0"] * matrix.count
-        for c, text in row:
-            line[c] = text
-        lines.append(",".join(line))
-    return "\n".join(lines) + "\n"
+    return "".join(_float_csv_lines(matrix))
 
 
 def load_float_csv(path: str) -> SynthesisMatrix:

@@ -26,6 +26,9 @@ Fraction prefix sums of 2/p over the first 6,000 primes carry the
 product of the primes.  A lift over the lcm of all denominators fails
 too: with the squared norms 1/p, (p-1)/p for 20,000 primes p near 10^5
 every row sums to an integer, yet that lcm has about 340,000 bits.
+On a long list of values the trace totals (:func:`_counted_sum`) add
+each distinct pair once, times its multiplicity, so a unit-norm spec's M
+norms are one term; a short list is summed term by term.
 
 Also here: the quick sufficient screens for sorted sequences, the
 constant-spectrum (tight) and unit-norm reformulations, and the
@@ -34,9 +37,11 @@ majorization existence test (which is constructor-independent).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd
 
 from .errors import ConstructionStuckError, NotSortedError, TraceMismatchError
 from .scalar import ZERO, add_ratios, as_rational, describe_rational, exact_sum, sum_ratios
@@ -82,7 +87,9 @@ class FrameSpec:
     The package reads the values as reduced int pairs, made once here:
     ``_eigen_pairs`` and ``_norm_pairs``, with one shared pair per
     distinct value.  They are plain attributes, not fields, so equality,
-    hashing and ``repr`` see the two tuples of Fractions alone.
+    hashing and ``repr`` see the two tuples of Fractions alone.  The spec
+    file parser makes the pairs as it makes the Fractions, and builds its
+    spec through :func:`_frame_spec`, which runs the same checks on them.
     """
 
     eigenvalues: tuple[Fraction, ...]
@@ -90,17 +97,7 @@ class FrameSpec:
 
     def __post_init__(self):
         eigenvalues, norms_sq = _rational_tuple(self.eigenvalues), _rational_tuple(self.norms_sq)
-        object.__setattr__(self, "eigenvalues", eigenvalues)
-        object.__setattr__(self, "norms_sq", norms_sq)
-        if not eigenvalues or not norms_sq:
-            raise ValueError("eigenvalues and squared norms must be nonempty")
-        eigen_pairs, norm_pairs = _ratio_tuple(eigenvalues), _ratio_tuple(norms_sq)
-        if any(num <= 0 for num, _ in eigen_pairs):
-            raise ValueError("eigenvalues must be positive")
-        if any(num <= 0 for num, _ in norm_pairs):
-            raise ValueError("squared norms must be positive")
-        object.__setattr__(self, "_eigen_pairs", eigen_pairs)
-        object.__setattr__(self, "_norm_pairs", norm_pairs)
+        _fill_spec(self, eigenvalues, norms_sq, _ratio_tuple(eigenvalues), _ratio_tuple(norms_sq))
 
     @property
     def dim(self) -> int:
@@ -109,6 +106,30 @@ class FrameSpec:
     @property
     def count(self) -> int:
         return len(self.norms_sq)
+
+
+def _fill_spec(spec: FrameSpec, eigenvalues, norms_sq, eigen_pairs, norm_pairs) -> FrameSpec:
+    """Check the values through their pairs and set all four attributes
+    of ``spec``.  Every den is positive, so the least pair has the least
+    numerator: one ``min`` per side decides positivity."""
+    if not eigen_pairs or not norm_pairs:
+        raise ValueError("eigenvalues and squared norms must be nonempty")
+    if min(eigen_pairs)[0] <= 0:
+        raise ValueError("eigenvalues must be positive")
+    if min(norm_pairs)[0] <= 0:
+        raise ValueError("squared norms must be positive")
+    object.__setattr__(spec, "eigenvalues", eigenvalues)
+    object.__setattr__(spec, "norms_sq", norms_sq)
+    object.__setattr__(spec, "_eigen_pairs", eigen_pairs)
+    object.__setattr__(spec, "_norm_pairs", norm_pairs)
+    return spec
+
+
+def _frame_spec(eigenvalues, norms_sq, eigen_pairs, norm_pairs) -> FrameSpec:
+    """The :class:`FrameSpec` of tuples of Fractions and of their reduced
+    pairs, which the caller has made together (``formats``): the public
+    constructor's checks and errors, without taking the values apart."""
+    return _fill_spec(object.__new__(FrameSpec), eigenvalues, norms_sq, eigen_pairs, norm_pairs)
 
 
 class Violation(Enum):
@@ -145,8 +166,29 @@ class ReadinessReport:
     detail: str = ""
 
 
+# Counting costs a fixed 3 us or so (the Counter) plus a hash per pair;
+# it repays that only on long lists that repeat.  On lists of one value
+# it wins from about 24 pairs, on lists of nine integer values from about
+# 96, and on lists of distinct values never (timed in-process per call).
+_COUNT_FROM = 128
+
+
+def _counted_sum(pairs) -> Ratio:
+    """``sum_ratios(pairs)``.  A list of at least ``_COUNT_FROM`` pairs is
+    counted, and each distinct pair added once: k copies of n/d are
+    (k/g * n)/(d/g) with g = gcd(k, d), already reduced.  A shorter list
+    takes one term per pair."""
+    if len(pairs) < _COUNT_FROM:
+        return sum_ratios(pairs)
+    terms = []
+    for (num, den), k in Counter(pairs).items():
+        g = gcd(k, den)
+        terms.append((k // g * num, den // g))
+    return sum_ratios(terms)
+
+
 def _require_trace(spec: FrameSpec) -> None:
-    norms_total, eigenvalues_total = sum_ratios(spec._norm_pairs), sum_ratios(spec._eigen_pairs)
+    norms_total, eigenvalues_total = _counted_sum(spec._norm_pairs), _counted_sum(spec._eigen_pairs)
     if norms_total != eigenvalues_total:
         raise TraceMismatchError(
             f"squared norms sum to {describe_rational(Fraction(*norms_total))}, "
@@ -273,7 +315,7 @@ def easy_sufficient(spec: FrameSpec) -> bool:
     """
     _require_sorted(spec.eigenvalues, increasing=True, what="eigenvalues")
     _require_sorted(spec.norms_sq, increasing=True, what="squared norms")
-    if sum_ratios(spec._norm_pairs) != sum_ratios(spec._eigen_pairs):
+    if _counted_sum(spec._norm_pairs) != _counted_sum(spec._eigen_pairs):
         return False
     m_count, dim = spec.count, spec.dim
     for ell in range(dim):

@@ -26,6 +26,7 @@ from spectral_tetris import (
     build_block,
     format_rational,
 )
+from spectral_tetris import formats
 from spectral_tetris.formats import GENERATOR_NAME, GENERATOR_VERSION, NORM_DENOMINATOR_LIMIT
 from spectral_tetris.scalar import describe_rational
 
@@ -244,6 +245,28 @@ def count_fractions():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Fraction, "__new__", counted)
         yield count
+
+
+def _parse_outcome(payload):
+    try:
+        spec, warnings = formats.parse_spec_payload(payload)
+    except Exception as exc:  # the reference must raise alike
+        return type(exc), str(exc)
+    return spec, spec._eigen_pairs, spec._norm_pairs, hash(spec), warnings
+
+
+def spec_parse_outcomes(payload) -> tuple:
+    """``formats.parse_spec_payload(payload)`` as it is, and with its spec
+    built by the public ``FrameSpec`` constructor from the same values:
+    each as the spec, its pairs, its hash and the warnings, or as the
+    exception type and message."""
+    def public_spec(eigenvalues, norms_sq, *_pairs):
+        return FrameSpec(eigenvalues, norms_sq)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(formats, "_frame_spec", public_spec)
+        public = _parse_outcome(payload)
+    return _parse_outcome(payload), public
 
 
 _RATIONAL_LITERAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")

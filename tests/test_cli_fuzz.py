@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from spectral_tetris.cli import main
+from helpers import spec_parse_outcomes
 
 KEYS = st.sampled_from(
     ["dim", "count", "entries", "row", "col", "sign", "rad", "num", "den",
@@ -164,6 +165,13 @@ def test_search_never_raises(tmp_path, payload, budget, max_results):
     spec.write_text(json.dumps(payload), encoding="utf-8")
     code = _answer("search", str(spec), "--budget", budget, "--max-results", max_results)
     assert code in (0, 1, 2, 3)
+
+
+@FUZZ
+@given(payload=JSON_VALUES | specs() | balanced_specs())
+def test_parsed_spec_is_its_public_rebuild(payload):
+    got, public = spec_parse_outcomes(payload)
+    assert got == public
 
 
 INTEGER_ARGUMENTS = st.integers(-3, 40).map(str) | st.integers(-(10**15), 10**15).map(str) | (

@@ -34,6 +34,7 @@ from spectral_tetris import (
     unit_tight,
 )
 from spectral_tetris import formats
+from spectral_tetris.cli import main
 from helpers import (
     dense_float_csv,
     matrix_from_payload_per_entry,
@@ -200,3 +201,20 @@ def test_float_csv_loader_keeps_only_the_nonzeros(tmp_path):
         tracemalloc.stop()
     assert peak < 8 * 2**20, peak
     assert [(r, c) for r, c, _ in loaded.entries] == [(r, c) for r, c, _ in matrix.entries]
+
+
+def test_construct_streams_the_float_csv(tmp_path, capsys):
+    # holding the CSV text whole, then joined, peaks near 51 MB here; the
+    # matrix file alone near 9 MB
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"dim": 2000, "eigenvalues": ["3999/2000"] * 2000, "unit": True}))
+    out, csv = tmp_path / "out.json", tmp_path / "out.csv"
+    tracemalloc.start()
+    try:
+        assert main(["construct", str(spec), str(out), "--float-csv", str(csv)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
+    assert csv.read_text(encoding="utf-8") == formats.dump_float_csv(unit_tight(3999, 2000))
+    assert capsys.readouterr().out == f"wrote 2000x3999 matrix (7997 nonzeros) to {out}\n"
