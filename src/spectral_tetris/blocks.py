@@ -14,6 +14,8 @@ int quotient, reduced with one gcd and with no Fraction.
 :func:`~spectral_tetris.construct.pnstc` calls :func:`build_block` once
 per distinct (x, a1^2, a2^2) of a matrix, with x made from the cursor's
 int pair, and reuses the block's immutable cells wherever it repeats.
+:class:`Block2x2` keeps any rows it is given as tuples; :func:`build_block`
+makes tuples itself and builds its block past that coercion.
 """
 
 from __future__ import annotations
@@ -31,11 +33,25 @@ class Block2x2:
     """The constructed block; rows exactly orthogonal by sign opposition.
 
     ``degenerate`` marks a zero entry: a column mass equal to x, or the
-    y = 0 boundary, where the second row vanishes.
+    y = 0 boundary, where the second row vanishes.  ``entries`` may be
+    given as any iterable of rows; it is kept as a tuple of tuples.
     """
 
     entries: tuple[tuple[RadicalScalar, RadicalScalar], tuple[RadicalScalar, RadicalScalar]]
     degenerate: bool
+
+    def __post_init__(self):
+        object.__setattr__(self, "entries", tuple([tuple(row) for row in self.entries]))
+
+
+def _block(entries, degenerate: bool) -> Block2x2:
+    """A :class:`Block2x2` of rows that are tuples already, as
+    :func:`build_block` makes them: the public constructor's coercion
+    would double the cost of building the object."""
+    block = object.__new__(Block2x2)
+    object.__setattr__(block, "entries", entries)
+    object.__setattr__(block, "degenerate", degenerate)
+    return block
 
 
 def _lifted(x, a1_sq, a2_sq) -> tuple[int, int, int, int]:
@@ -93,7 +109,7 @@ def build_block(x, a1_sq, a2_sq) -> Block2x2:
     y = a1 + a2 - x
     if x == y:
         top = _radical(1, x, 2 * den)
-        return Block2x2(entries=((top, top), (top, -top)), degenerate=False)
+        return _block(entries=((top, top), (top, -top)), degenerate=False)
     # scale < 0 when x < y: the quotients stay nonnegative, and _radical
     # moves the sign off the denominator
     scale = den * (x - y)
@@ -101,7 +117,7 @@ def build_block(x, a1_sq, a2_sq) -> Block2x2:
     beta = _radical(1, x * (x - a1), scale)
     c_beta = _radical(1, y * (x - a1), scale)
     c_alpha = _radical(1, y * (a1 - y), scale)
-    return Block2x2(
+    return _block(
         entries=((alpha, beta), (c_beta, -c_alpha)),
         # x > 0, so a cell is zero iff a1 == y, a1 == x or y == 0
         degenerate=0 in (a1 - y, x - a1, y),

@@ -109,8 +109,9 @@ class SynthesisMatrix:
     Value object: ``entries`` is a tuple of ``(row, col, value)`` sorted
     by (col, row), the export order, with no zero values; instances are
     hashable and compare by value.  The constructor takes either field as
-    any iterable, entries in any order, and raises ValueError on a
-    dimension below 1, a cell outside the matrix or a cell given twice
+    any iterable, entries in any order, each entry as any iterable of
+    ``(row, col, value)``, and keeps only tuples.  It raises ValueError on
+    a dimension below 1, a cell outside the matrix or a cell given twice
     (zero values included).
     """
 
@@ -123,14 +124,15 @@ class SynthesisMatrix:
         dim, count = self.dim, self.count
         if dim < 1 or count < 1:
             raise ValueError(f"matrix dimensions must be positive, got {dim}x{count}")
-        ordered = sorted(self.entries, key=_column_major)
+        ordered = sorted(map(tuple, self.entries), key=_column_major)
         previous = None
         for row, col, _ in ordered:
             if not (0 <= row < dim and 0 <= col < count):
                 raise ValueError(f"entry {(row, col)} lies outside the {dim}x{count} matrix")
-            if (row, col) == previous:
-                raise ValueError(f"entry {(row, col)} appears twice")
-            previous = (row, col)
+            cell = (row, col)
+            if cell == previous:
+                raise ValueError(f"entry {cell} appears twice")
+            previous = cell
         kept = tuple(entry for entry in ordered if entry[2].sign)
         object.__setattr__(self, "entries", kept)
         object.__setattr__(self, "block_log", tuple(self.block_log))

@@ -182,6 +182,20 @@ def random_unit_spectrum(rng: random.Random, max_dim: int = 6) -> tuple[tuple[Fr
     return eigenvalues, count
 
 
+# Multisets whose search output is pinned: name -> (squared norms,
+# eigenvalues), each a space-separated list of rational literals.
+SEARCH_FAMILIES = {
+    "tight-four": ("4 4 4 1", "13/3 13/3 13/3"),
+    "five-norm-tight": ("7 7 6 1 1", "22/3 22/3 22/3"),
+    "seven-norm-tight": ("7 7 6 1 1 3 3", "28/3 28/3 28/3"),
+    "three-eigenvalues": ("3 3 2 1", "4 3 2"),
+    "combined": ("210 210 180 30 30 4 4 4 1", "220 220 220 6 4 3"),
+    "trivial-pair": ("1 1", "1 1"),
+    "largest-catalog-infeasible": ("26 20 13 12 7 4 3 3", "24 24 22 18"),
+    "unready-multiset": ("5 1 7 1 2 9 8 8 10", "4 37 3 5 2"),
+}
+
+
 def pnstc_succeeds(spec: FrameSpec) -> bool:
     from spectral_tetris import SpectralTetrisError, pnstc
 

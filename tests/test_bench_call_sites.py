@@ -1,12 +1,16 @@
 """The benchmark tracer wraps library functions by module attribute
 (``bench/tracing.CALL_SITES``); a renamed or dropped name would break it
-without failing any library test."""
+without failing any library test.  The search must look ``check_ready`` up
+on its module once per distinct heuristic ordering, or the bench's
+``search.check_calls`` counts nothing."""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
-from spectral_tetris import FrameSpec, construct, pnstc
+import pytest
+
+from spectral_tetris import FrameSpec, SearchRequest, construct, find_ready_orderings, pnstc, search
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -37,3 +41,26 @@ def test_pnstc_looks_build_block_up_on_its_module(monkeypatch):
     monkeypatch.setattr(construct, "build_block", counted)
     pnstc(FrameSpec(eigenvalues=(15, 4, 1, 4), norms_sq=(9, 4, 3, 3, 1, 4)))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "norms_sq, eigenvalues, candidates",
+    [
+        ((3, 3, 2, 1), (4, 3, 2), 3),  # three distinct heuristic orderings
+        ((4, 4, 4, 1), ("13/3",) * 3, 2),  # equal eigenvalues: two coincide
+        ((1, 1), (1, 1), 1),
+    ],
+)
+def test_the_search_looks_check_ready_up_on_its_module(
+    monkeypatch, norms_sq, eigenvalues, candidates
+):
+    calls = []
+    original = search.check_ready
+
+    def counted(spec):
+        calls.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(search, "check_ready", counted)
+    find_ready_orderings(SearchRequest(norms_sq=norms_sq, eigenvalues=eigenvalues))
+    assert len(calls) == candidates

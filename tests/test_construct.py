@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from spectral_tetris import (
+    Block2x2,
     BlockKind,
     BlockRecord,
     ConstructionStuckError,
@@ -19,6 +20,7 @@ from spectral_tetris import (
     SynthesisMatrix,
     TraceMismatchError,
     Violation,
+    build_block,
     equal_norm_frame,
     k_inequality_scan,
     pnstc,
@@ -398,6 +400,18 @@ def test_value_objects_built_from_lists_equal_and_hash_as_their_tuple_twins():
     assert record.rows == record.cols == (0, 0)
     twin = BlockRecord(BlockKind.SINGLETON, (0, 0), (0, 0))
     assert record == twin and hash(record) == hash(twin)
+    cells = SynthesisMatrix(matrix.dim, matrix.count, [list(e) for e in matrix.entries], [])
+    assert cells == SynthesisMatrix(matrix.dim, matrix.count, matrix.entries, ())
+    assert hash(cells) == hash(SynthesisMatrix(matrix.dim, matrix.count, matrix.entries, ()))
+    one = RadicalScalar(1, F(1))
+    single = SynthesisMatrix(1, 1, [[0, 0, one]], [])
+    assert single == SynthesisMatrix(1, 1, ((0, 0, one),), ()) and hash(single)
+    with pytest.raises(TypeError):  # a tuple cell cannot move past the bounds check
+        single.entries[0][0] = 5
+    block = build_block(F(2), F(3), F(4))
+    listed_block = Block2x2([list(row) for row in block.entries], block.degenerate)
+    assert listed_block.entries == block.entries and type(listed_block.entries[0]) is tuple
+    assert listed_block == block and hash(listed_block) == hash(block)
 
 
 def test_synthesis_matrix_drops_zeros_and_reads_cells():

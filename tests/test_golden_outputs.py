@@ -6,7 +6,8 @@ and, when a matrix was built, ``verify`` on it, all in-process through
 stderr and written file with the digest pinned below.  Any change to a
 verdict, a partition, a stuck detail, a matrix entry or a verify sum
 shows here.  For a set of multisets it pins the exit code and stdout of
-``search`` at ``--max-results`` 1 and 16, node counts included.  A
+``search`` at ``--max-results`` 1 and 16, node counts included, and
+one digest of the same over a pool of random multisets.  A
 change that alters output on purpose re-pins the digests and says why;
 ``PYTHONPATH=src python tests/test_golden_outputs.py DIR`` prints them,
 writing its files in DIR.
@@ -27,7 +28,7 @@ import pytest
 
 from spectral_tetris import format_rational
 from spectral_tetris.cli import main
-from helpers import random_mixed_spec, square_norm_via_fraction
+from helpers import SEARCH_FAMILIES, random_mixed_spec, square_norm_via_fraction
 
 
 def _unit_tight(dim: int) -> dict:
@@ -114,23 +115,13 @@ def _specs() -> dict[str, dict]:
 
 
 def _search_specs() -> dict[str, dict]:
-    families = {  # name: (squared norms, eigenvalues)
-        "tight-four": ("4 4 4 1", "13/3 13/3 13/3"),
-        "five-norm-tight": ("7 7 6 1 1", "22/3 22/3 22/3"),
-        "seven-norm-tight": ("7 7 6 1 1 3 3", "28/3 28/3 28/3"),
-        "three-eigenvalues": ("3 3 2 1", "4 3 2"),
-        "combined": ("210 210 180 30 30 4 4 4 1", "220 220 220 6 4 3"),
-        "trivial-pair": ("1 1", "1 1"),
-        "largest-catalog-infeasible": ("26 20 13 12 7 4 3 3", "24 24 22 18"),
-        "unready-multiset": ("5 1 7 1 2 9 8 8 10", "4 37 3 5 2"),
-    }
     return {
         name: {
             "dim": len(eigenvalues.split()),
             "eigenvalues": eigenvalues.split(),
             "norms_squared": norms.split(),
         }
-        for name, (norms, eigenvalues) in families.items()
+        for name, (norms, eigenvalues) in SEARCH_FAMILIES.items()
     }
 
 
@@ -169,6 +160,35 @@ def search_digests(name: str, payload: dict) -> dict[str, str]:
         )
         for limit in (1, 16)
     }
+
+
+def _search_pool():
+    """2,000 multisets drawn from ``random.Random(5)``: 5-10 squared norms
+    in 1..12, and 3-5 integer eigenvalues that are a random composition
+    of the same total."""
+    rng = random.Random(5)
+    for _ in range(2000):
+        norms = [rng.randint(1, 12) for _ in range(rng.randint(5, 10))]
+        total = sum(norms)
+        cuts = sorted(rng.sample(range(1, total), rng.randint(3, 5) - 1))
+        eigenvalues = [high - low for low, high in zip([0, *cuts], [*cuts, total])]
+        yield {
+            "dim": len(eigenvalues),
+            "eigenvalues": list(map(str, eigenvalues)),
+            "norms_squared": list(map(str, norms)),
+        }
+
+
+def search_pool_digest() -> str:
+    """One digest of ``search``'s exit code and stdout at ``--max-results``
+    1 and 16 over every multiset of :func:`_search_pool`, run in the
+    current directory."""
+    parts = []
+    for payload in _search_pool():
+        Path("pool.json").write_text(json.dumps(payload), encoding="utf-8")
+        for limit in (1, 16):
+            parts.append(_run("search", "pool.json", "--max-results", str(limit))[:2])
+    return _digest(*parts)
 
 
 GOLDEN = {
@@ -322,6 +342,8 @@ SEARCH_GOLDEN = {
     },
 }
 
+SEARCH_POOL_GOLDEN = "9023e5ae91fd6c10f4136e560d2405688150e0145ddf49726bbd87ce5dd40df7"
+
 
 @pytest.mark.parametrize("name", sorted(_specs()))
 def test_outputs_match_the_pinned_digests(tmp_path, monkeypatch, name):
@@ -335,6 +357,11 @@ def test_search_outputs_match_the_pinned_digests(tmp_path, monkeypatch, name):
     assert search_digests(name, _search_specs()[name]) == SEARCH_GOLDEN[name]
 
 
+def test_search_pool_matches_the_pinned_digest(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert search_pool_digest() == SEARCH_POOL_GOLDEN
+
+
 if __name__ == "__main__":
     os.chdir(sys.argv[1])
     for case, spec_payload in sorted(_specs().items()):
@@ -342,3 +369,4 @@ if __name__ == "__main__":
     print("search:")
     for case, spec_payload in sorted(_search_specs().items()):
         print(f"    {case!r}: {search_digests(case, spec_payload)!r},")
+    print(f"search pool: {search_pool_digest()!r}")

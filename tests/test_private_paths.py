@@ -1,13 +1,15 @@
 """The private constructors against the public ones.
 
 ``pnstc`` builds its :class:`SynthesisMatrix` and every
-:class:`BlockRecord` past the public constructors' checks, the matrix
+:class:`BlockRecord` past the public constructors' checks, ``build_block``
+its :class:`Block2x2` past the public coercion of rows to tuples, the matrix
 loader builds its records so, and the spec file parser builds its
 :class:`FrameSpec` from the pairs it made while parsing.  Each object
 must equal, and hash like, what the public constructor builds from the
 same values, and must set every attribute the public constructor sets.
 A long list's trace total adds each distinct pair once; it must equal the
-sum of one term per value.
+sum of one term per value.  The ordering search checks its candidates on
+specs built from its own table of values, with the public checks' errors.
 """
 
 import importlib.util
@@ -23,18 +25,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectral_tetris import (
+    Block2x2,
     BlockKind,
     BlockRecord,
     FrameSpec,
+    SearchRequest,
     SpectralTetrisError,
     SynthesisMatrix,
+    build_block,
+    find_ready_orderings,
     formats,
     pnstc,
     unit_tight,
 )
 from spectral_tetris.readiness import _COUNT_FROM, _counted_sum
 from spectral_tetris.scalar import format_rational, sum_ratios
-from helpers import matrix_to_payload, random_mixed_spec, spec_parse_outcomes
+from helpers import SEARCH_FAMILIES, matrix_to_payload, random_mixed_spec, spec_parse_outcomes
 
 F = Fraction
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
@@ -106,6 +112,39 @@ def test_the_construct_path_runs_each_public_check_once_at_most(monkeypatch):
     assert loaded == matrix and len(loaded.block_log) == 3
 
 
+@pytest.mark.parametrize("name", sorted(SEARCH_FAMILIES))
+def test_the_search_builds_no_public_frame_spec(monkeypatch, name):
+    norms, eigenvalues = SEARCH_FAMILIES[name]
+    request = SearchRequest(norms_sq=norms.split(), eigenvalues=eigenvalues.split())
+    built = []
+    original = FrameSpec.__post_init__
+
+    def counted(spec):
+        built.append(spec)
+        original(spec)
+
+    monkeypatch.setattr(FrameSpec, "__post_init__", counted)
+    find_ready_orderings(request)
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "norms_sq, eigenvalues, phrase",
+    [
+        ((0, 1), (1,), "squared norms must be positive"),
+        ((3, -1), (2,), "squared norms must be positive"),
+        ((1, 1), (0, 2), "eigenvalues must be positive"),
+        ((1,), (-1, 2), "eigenvalues must be positive"),
+        ((0, 2), (0, 2), "eigenvalues must be positive"),
+        ((), (), "eigenvalues and squared norms must be nonempty"),
+    ],
+)
+def test_the_search_keeps_the_public_spec_checks(norms_sq, eigenvalues, phrase):
+    request = SearchRequest(norms_sq=norms_sq, eigenvalues=eigenvalues)
+    with pytest.raises(ValueError, match=phrase):
+        find_ready_orderings(request)
+
+
 def test_private_constructors_set_every_attribute_the_public_ones_set():
     spec = FrameSpec(eigenvalues=(15, 4, 1, 4), norms_sq=(9, 4, 3, 3, 1, 4))
     matrix = pnstc(spec)
@@ -115,6 +154,7 @@ def test_private_constructors_set_every_attribute_the_public_ones_set():
     for private, public, extra in [
         (matrix, _public_twin(matrix), set()),
         (matrix.block_log[-1], BlockRecord(BlockKind.SINGLETON, (0, 0), (0, 0)), set()),
+        (build_block(F(2), F(3), F(4)), Block2x2(((1, 1), (1, -1)), False), set()),
         (loaded.block_log[-1], BlockRecord(BlockKind.SINGLETON, (0, 0), (0, 0)), set()),
         (parsed, FrameSpec(eigenvalues=(1,), norms_sq=(1,)), pairs),
         (formats.spec_from_matrix_metadata(matrix_to_payload(matrix, spec)), spec, pairs),
