@@ -310,8 +310,9 @@ _KINDS = {kind.value: kind for kind in BlockKind}
 
 def _int_field(value, what: str = "matrix file") -> int:
     """``int(value)`` for an int field of a ``what`` file, refusing a float
-    that is not integral: int() would truncate 1.5 to 1 and 0.9 to row 0."""
-    if isinstance(value, float) and not value.is_integer():
+    that is not integral and a JSON boolean: int() would truncate 1.5 to 1
+    and 0.9 to row 0, and read true as 1 and false as row 0."""
+    if type(value) is bool or isinstance(value, float) and not value.is_integer():
         raise ValueError(f"malformed {what}: {value!r} is not an integer")
     return int(value)
 
@@ -337,8 +338,10 @@ def matrix_from_payload(payload: dict) -> SynthesisMatrix:
     their kind is a :class:`BlockKind`.
     Entries with equal raw ``(sign, num, den)`` share one value, built
     once from the ints (:func:`~spectral_tetris.scalar.radical_of_ints`):
-    values are immutable, and equal raw fields convert equally.  An int
-    field that is not already an int goes through :func:`_int_field`.
+    values are immutable, and equal raw fields convert equally.  A
+    boolean equals 1 or 0 but is refused, so an entry with one never takes
+    a shared value.  An int field that is not already an int goes through
+    :func:`_int_field`.
     """
     if not isinstance(payload, dict) or not {"dim", "count", "entries"} <= payload.keys():
         raise ValueError("a matrix file is an object with 'dim', 'count' and 'entries'")
@@ -349,9 +352,9 @@ def matrix_from_payload(payload: dict) -> SynthesisMatrix:
         if type(row) is not int or type(col) is not int:
             row, col = _int_field(row), _int_field(col)
         rad = item["rad"]
-        key = (item["sign"], rad["num"], rad["den"])
+        key = sign, num, den = item["sign"], rad["num"], rad["den"]
         value = values.get(key)
-        if value is None:
+        if value is None or type(sign) is bool or type(num) is bool or type(den) is bool:
             value = values[key] = radical_of_ints(*_int_tuple(key))
         entries.append((row, col, value))
     log = []

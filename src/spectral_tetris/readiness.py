@@ -108,16 +108,23 @@ class FrameSpec:
         return len(self.norms_sq)
 
 
+def _check_least(eigen_least, norm_least) -> None:
+    """The public constructor's checks, on the least eigenvalue and the
+    least squared norm, or on their numerators; None stands for an empty
+    side."""
+    if eigen_least is None or norm_least is None:
+        raise ValueError("eigenvalues and squared norms must be nonempty")
+    if eigen_least <= 0:
+        raise ValueError("eigenvalues must be positive")
+    if norm_least <= 0:
+        raise ValueError("squared norms must be positive")
+
+
 def _fill_spec(spec: FrameSpec, eigenvalues, norms_sq, eigen_pairs, norm_pairs) -> FrameSpec:
     """Check the values through their pairs and set all four attributes
     of ``spec``.  Every den is positive, so the least pair has the least
     numerator: one ``min`` per side decides positivity."""
-    if not eigen_pairs or not norm_pairs:
-        raise ValueError("eigenvalues and squared norms must be nonempty")
-    if min(eigen_pairs)[0] <= 0:
-        raise ValueError("eigenvalues must be positive")
-    if min(norm_pairs)[0] <= 0:
-        raise ValueError("squared norms must be positive")
+    _check_least(min(eigen_pairs, default=(None,))[0], min(norm_pairs, default=(None,))[0])
     object.__setattr__(spec, "eigenvalues", eigenvalues)
     object.__setattr__(spec, "norms_sq", norms_sq)
     object.__setattr__(spec, "_eigen_pairs", eigen_pairs)

@@ -309,8 +309,8 @@ def square_norm_via_fraction(text: str) -> tuple[Fraction, str | None]:
 
 def int_field(value) -> int:
     """Reference for a matrix file's int field: ``int(value)``, but a float
-    that is not integral is refused, not truncated."""
-    if isinstance(value, float) and not value.is_integer():
+    that is not integral is refused, not truncated, and so is a boolean."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
         raise ValueError(f"malformed matrix file: {value!r} is not an integer")
     return int(value)
 

@@ -407,14 +407,15 @@ def test_cli_zero_row_is_found_before_allocating_by_the_header(tmp_path):
     assert done.stderr == "not a frame: row 0 is zero; the lower frame bound fails\n"
 
 
-def _cli_in_a_child(*argv: str) -> subprocess.CompletedProcess:
-    """The CLI in a child process with 1 GiB of address space and a 20 s cap."""
+def _cli_in_a_child(*argv: str, timeout: float = 20) -> subprocess.CompletedProcess:
+    """The CLI in a child process with 1 GiB of address space and a
+    ``timeout`` s cap."""
     src = str(Path(spectral_tetris.__file__).parent.parent)
     return subprocess.run(
         [sys.executable, "-m", "spectral_tetris.cli", *argv],
         capture_output=True,
         text=True,
-        timeout=20,
+        timeout=timeout,
         env={"PYTHONPATH": src},
         preexec_fn=_limit_address_space,
     )
@@ -552,6 +553,25 @@ def _primes_above(low: int, count: int) -> list[int]:
         if sieve[p]:
             sieve[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
     return [p for p in range(low + 1, limit + 1) if sieve[p]][:count]
+
+
+def test_cli_search_walks_many_coprime_denominators_fast(tmp_path):
+    # squared norms 10, 1/m and (m-1)/m for the 135 Mersenne numbers
+    # m = 2^p - 1 with p prime in [1000, 2000): pairwise coprime, so their
+    # lcm has 200,923 bits.  Every eigenvalue is 5, so the norm 10 fits
+    # no row and the walk runs to its budget.  Masses summed as reduced
+    # pairs took 33 s; as ints over the lcm, under 3 s (Python 3.11, one
+    # core of a 2-core x86-64 host)
+    mersenne = [2**p - 1 for p in _primes_above(1000, 200) if p < 2000]
+    norms = ["10", *(f"1/{m}" for m in mersenne), *(f"{m - 1}/{m}" for m in mersenne)]
+    eigenvalues = ["5"] * ((10 + len(mersenne)) // 5)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"dim": len(eigenvalues), "eigenvalues": eigenvalues, "norms_squared": norms}))
+    done = _cli_in_a_child("search", str(path), "--budget", "20000", timeout=10)
+    assert done.returncode == 3, done.stderr
+    payload = json.loads(done.stdout)
+    assert payload["budget_exhausted"] is True and payload["nodes_used"] == 20001
+    assert payload["orderings"] == []
 
 
 def test_cli_check_on_prime_denominators_stays_fast(tmp_path):

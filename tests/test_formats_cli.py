@@ -257,8 +257,13 @@ def _first_entry_with_row_0(payload):
         ("0.9", lambda payload: _first_entry_with_row_0(payload).update(row=0.9)),
         ("4.7", lambda payload: payload.update(dim=4.7)),
         ("0.5", lambda payload: payload["metadata"]["blockLog"][0].update(rowSpan=[0, 0.5])),
+        # int() would read true as 1 and false as 0
+        ("True", lambda payload: _first_entry_with_row_0(payload)["rad"].update(num=True)),
+        ("True", lambda payload: _first_entry_with_row_0(payload).update(sign=True)),
+        ("False", lambda payload: _first_entry_with_row_0(payload).update(row=False)),
+        ("False", lambda payload: payload["metadata"]["blockLog"][0].update(rowSpan=[0, False])),
     ],
-    ids=["num", "row", "dim", "span"],
+    ids=["num", "row", "dim", "span", "bool-num", "bool-sign", "bool-row", "bool-span"],
 )
 def test_cli_verify_refuses_a_non_integral_float_in_an_int_field(tmp_path, capsys, field, edit):
     # int() would read each of these as the int below it, and the matrix
@@ -289,6 +294,17 @@ def test_cli_refuses_a_non_integral_spec_dim(tmp_path, capsys, command):
     write_json(spec_path, {"dim": 1.0, "eigenvalues": ["2"], "unit": True})
     assert main(["check", str(spec_path)]) == 0
     assert capsys.readouterr().out == "ready (partition 2)\n"
+
+
+@pytest.mark.parametrize("command", ["check", "search"])
+def test_cli_refuses_a_boolean_spec_dim(tmp_path, capsys, command):
+    # int() would read true as dim 1, and the one eigenvalue would match it
+    spec_path = tmp_path / "spec.json"
+    write_json(spec_path, {"dim": True, "eigenvalues": ["2"], "unit": True})
+    assert main([command, str(spec_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: malformed spec file: True is not an integer\n"
 
 
 UNIT_SPEC = {"dim": 2, "eigenvalues": ["2", "1"], "unit": True}

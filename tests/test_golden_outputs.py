@@ -7,7 +7,8 @@ stderr and written file with the digest pinned below.  Any change to a
 verdict, a partition, a stuck detail, a matrix entry or a verify sum
 shows here.  For a set of multisets it pins the exit code and stdout of
 ``search`` at ``--max-results`` 1 and 16, node counts included, and
-one digest of the same over a pool of random multisets.  A
+one digest of the same over each of two pools of random multisets, one
+of integers and one of fractions with denominators up to 12.  A
 change that alters output on purpose re-pins the digests and says why;
 ``PYTHONPATH=src python tests/test_golden_outputs.py DIR`` prints them,
 writing its files in DIR.
@@ -19,9 +20,11 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -179,12 +182,30 @@ def _search_pool():
         }
 
 
-def search_pool_digest() -> str:
+def _fractional_search_pool():
+    """500 multisets drawn from ``random.Random(12)``: 5-8 squared norms
+    k/d with d in 1..12, and 3-5 eigenvalues that cut the same total at
+    multiples of 1/12.  The walk's common denominator is then above 1."""
+    rng = random.Random(12)
+    for _ in range(500):
+        norms = [Fraction(rng.randint(1, 36), rng.randint(1, 12)) for _ in range(rng.randint(5, 8))]
+        total = sum(norms)
+        twelfths = sorted(rng.sample(range(1, math.ceil(12 * total)), rng.randint(3, 5) - 1))
+        cuts = [Fraction(k, 12) for k in twelfths]
+        eigenvalues = [high - low for low, high in zip([0, *cuts], [*cuts, total])]
+        yield {
+            "dim": len(eigenvalues),
+            "eigenvalues": list(map(format_rational, eigenvalues)),
+            "norms_squared": list(map(format_rational, norms)),
+        }
+
+
+def search_pool_digest(pool=_search_pool) -> str:
     """One digest of ``search``'s exit code and stdout at ``--max-results``
-    1 and 16 over every multiset of :func:`_search_pool`, run in the
-    current directory."""
+    1 and 16 over every multiset of ``pool()``, run in the current
+    directory."""
     parts = []
-    for payload in _search_pool():
+    for payload in pool():
         Path("pool.json").write_text(json.dumps(payload), encoding="utf-8")
         for limit in (1, 16):
             parts.append(_run("search", "pool.json", "--max-results", str(limit))[:2])
@@ -343,6 +364,7 @@ SEARCH_GOLDEN = {
 }
 
 SEARCH_POOL_GOLDEN = "9023e5ae91fd6c10f4136e560d2405688150e0145ddf49726bbd87ce5dd40df7"
+FRACTIONAL_SEARCH_POOL_GOLDEN = "fc0dcbb15e71674d98b189f18e2535f5294b6cfa70833d2fab840929333ba5f4"
 
 
 @pytest.mark.parametrize("name", sorted(_specs()))
@@ -362,6 +384,11 @@ def test_search_pool_matches_the_pinned_digest(tmp_path, monkeypatch):
     assert search_pool_digest() == SEARCH_POOL_GOLDEN
 
 
+def test_fractional_search_pool_matches_the_pinned_digest(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert search_pool_digest(_fractional_search_pool) == FRACTIONAL_SEARCH_POOL_GOLDEN
+
+
 if __name__ == "__main__":
     os.chdir(sys.argv[1])
     for case, spec_payload in sorted(_specs().items()):
@@ -370,3 +397,4 @@ if __name__ == "__main__":
     for case, spec_payload in sorted(_search_specs().items()):
         print(f"    {case!r}: {search_digests(case, spec_payload)!r},")
     print(f"search pool: {search_pool_digest()!r}")
+    print(f"fractional search pool: {search_pool_digest(_fractional_search_pool)!r}")

@@ -143,7 +143,7 @@ def test_shared_values_load_exactly_what_per_entry_values_load(entries):
 def test_equal_raw_fields_of_different_types_load_as_one_value():
     entries = [
         {"row": 0, "col": 0, "sign": 1, "rad": {"num": 2, "den": 4}},
-        {"row": 1, "col": 0, "sign": True, "rad": {"num": 2.0, "den": 4}},
+        {"row": 1, "col": 0, "sign": 1.0, "rad": {"num": 2.0, "den": 4}},
         {"row": 0, "col": 1, "sign": "1", "rad": {"num": 1, "den": 2}},
     ]
     loaded = formats.matrix_from_payload({"dim": 2, "count": 2, "entries": entries})
@@ -151,6 +151,11 @@ def test_equal_raw_fields_of_different_types_load_as_one_value():
     with pytest.raises(ValueError, match="malformed matrix file"):
         formats.matrix_from_payload(
             {"dim": 2, "count": 2, "entries": [{**entries[0], "sign": [1]}]}
+        )
+    # true equals 1, but a boolean is refused even where an equal int was read
+    with pytest.raises(ValueError, match="True is not an integer"):
+        formats.matrix_from_payload(
+            {"dim": 2, "count": 2, "entries": [entries[0], {**entries[1], "sign": True}]}
         )
 
 

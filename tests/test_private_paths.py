@@ -140,9 +140,9 @@ def test_the_search_builds_no_public_frame_spec(monkeypatch, name):
     ],
 )
 def test_the_search_keeps_the_public_spec_checks(norms_sq, eigenvalues, phrase):
-    request = SearchRequest(norms_sq=norms_sq, eigenvalues=eigenvalues)
+    # the request refuses them itself, before any walk
     with pytest.raises(ValueError, match=phrase):
-        find_ready_orderings(request)
+        SearchRequest(norms_sq=norms_sq, eigenvalues=eigenvalues)
 
 
 def test_private_constructors_set_every_attribute_the_public_ones_set():

@@ -10,6 +10,7 @@ from spectral_tetris import (
     check_ready,
     find_ready_orderings,
     pnstc,
+    search,
     verify_matrix,
 )
 from helpers import random_ready_spec
@@ -166,8 +167,8 @@ def test_search_agrees_with_brute_force_on_multisets_with_repeats():
 
 
 def test_search_agrees_with_brute_force_on_distinct_prime_denominators():
-    # Norms over distinct primes: the walk's int masses then mix
-    # denominators instead of sharing one.
+    # Norms over distinct primes: the walk's common denominator is then a
+    # product of several of them.
     rng = random.Random(1931)
     outcomes = set()
     for _ in range(40):
@@ -222,3 +223,37 @@ def test_unready_multiset_walk():
     assert result.exhausted and not result.budget_exhausted
     assert result.nodes_used == 9743
     assert result.memo_hits == 6731
+
+
+def _fractional_requests(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        norms = tuple(F(rng.randint(1, 20), rng.randint(1, 12)) for _ in range(rng.randint(4, 7)))
+        weights = [rng.randint(1, 5) for _ in range(rng.randint(2, 4))]
+        eigenvalues = tuple(sum(norms) * w / sum(weights) for w in weights)
+        yield SearchRequest(norms_sq=norms, eigenvalues=eigenvalues)
+
+
+def test_the_walk_on_fractions_past_the_lift_limit_matches_the_int_walk(monkeypatch):
+    # Past the limit the walk takes the same steps on the table's
+    # Fractions: the same orderings, node counts and memo hits.
+    requests = [
+        SearchRequest(norms_sq=(26, 20, 13, 12, 7, 4, 3, 3), eigenvalues=(24, 24, 22, 18)),
+        SearchRequest(norms_sq=(7, 7, 6, 1, 1, 3, 3), eigenvalues=(F(28, 3),) * 3, max_results=100),
+        *_fractional_requests(77, 60),
+    ]
+    on_ints = [find_ready_orderings(request) for request in requests]
+    assert any(result.nodes_used for result in on_ints)
+    monkeypatch.setattr(search, "_LIFT_LIMIT_BITS", 0)
+    assert [find_ready_orderings(request) for request in requests] == on_ints
+
+
+def test_a_request_the_heuristics_answer_never_lifts(monkeypatch):
+    def refuse(walk):
+        raise AssertionError("lifted")
+
+    monkeypatch.setattr(search._Walk, "_lift", refuse)
+    result = find_ready_orderings(
+        SearchRequest(norms_sq=(F(9, 2), F(1, 3)), eigenvalues=(F(29, 6),), max_results=1)
+    )
+    assert result.orderings and result.nodes_used == 0
