@@ -26,7 +26,7 @@ from spectral_tetris import (
     build_block,
     format_rational,
 )
-from spectral_tetris import formats
+from spectral_tetris import formats, search
 from spectral_tetris.formats import GENERATOR_NAME, GENERATOR_VERSION, NORM_DENOMINATOR_LIMIT
 from spectral_tetris.scalar import describe_rational
 
@@ -446,6 +446,76 @@ def reference_partition(spec: FrameSpec) -> Partition:
     cuts = [bisect_right(norm_prefix, level) - 1 for level in accumulate(spec.eigenvalues[:-1])]
     cuts.append(spec.count)
     return Partition(tuple(cuts))
+
+
+def mixed_radix_key(counts, starts) -> int:
+    """The remaining ``counts`` as one int: index i weighs the product of
+    ``start + 1`` over the indices before it, in mixed radix."""
+    key, weight = 0, 1
+    for count, start in zip(counts, starts):
+        key += count * weight
+        weight *= start + 1
+    return key
+
+
+def reference_walk(walk) -> None:
+    """Reference for ``search._Walk.run``: the same walk on the table's
+    Fractions, by recursion, with each state's remaining counts as a tuple
+    key.  A node is charged before the dead-set lookup, and the dead set
+    takes ``search._LIFT_LIMIT_BITS`` // w keys at most, w being the bit
+    length of the largest mixed-radix key."""
+    norms, eigs = walk.norm_values, walk.eig_values
+    norm_counts, eig_counts = walk.norm_counts, walk.eig_counts
+    norm_seq, eig_seq = walk.norm_seq, walk.eig_seq
+    width = (math.prod(count + 1 for count in norm_counts + eig_counts) - 1).bit_length()
+    room = search._LIFT_LIMIT_BITS // width
+    dead: set[tuple[int, ...]] = set()
+
+    def place(counts, seq, index, mass):
+        counts[index] -= 1
+        seq.append(index)
+        visit(mass)
+        seq.pop()
+        counts[index] += 1
+
+    def visit(mass):
+        walk.nodes += 1
+        if walk.nodes > walk.budget:
+            walk.budget_hit = True
+            raise search._StopSearch
+        key = (*norm_counts, *eig_counts)
+        if key in dead:
+            walk.memo_hits += 1
+            return
+        before = walk.completions
+        if mass > 0:
+            for index, value in enumerate(norms):
+                if not norm_counts[index] or (value > mass and not any(eig_counts)):
+                    continue
+                if value <= mass:
+                    place(norm_counts, norm_seq, index, mass - value)
+                    continue
+                norm_counts[index] -= 1
+                norm_seq.append(index)
+                for slot, partner in enumerate(norms):
+                    if partner < mass:
+                        break
+                    if norm_counts[slot]:
+                        place(norm_counts, norm_seq, slot, mass - value - partner)
+                norm_seq.pop()
+                norm_counts[index] += 1
+        elif any(eig_counts):
+            for index, value in enumerate(eigs):
+                if value + mass < 0:
+                    break
+                if eig_counts[index]:
+                    place(eig_counts, eig_seq, index, value + mass)
+        else:
+            walk.record(norm_seq, eig_seq)
+        if walk.completions == before and len(dead) < room:
+            dead.add(key)
+
+    visit(Fraction(0))
 
 
 def _rational_sqrt(q: Fraction) -> Fraction | None:

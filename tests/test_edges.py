@@ -574,6 +574,23 @@ def test_cli_search_walks_many_coprime_denominators_fast(tmp_path):
     assert payload["orderings"] == []
 
 
+def test_cli_search_memo_stays_small_on_thousands_of_distinct_norms(tmp_path):
+    # squared norms 10, 1/p and (p-1)/p over the first 2,000 primes, and
+    # 402 eigenvalues 5: 4,001 distinct values.  A memo key per state as
+    # long as the table took 644 MB at --budget 20000 and ran out of this
+    # child's 1 GiB at 100000; one int per state takes about 50 MB
+    primes = _primes_above(1, 2_000)
+    norms = ["10", *(f"1/{p}" for p in primes), *(f"{p - 1}/{p}" for p in primes)]
+    spec = {"dim": 402, "eigenvalues": ["5"] * 402, "norms_squared": norms}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    done = _cli_in_a_child("search", str(path), "--budget", "100000", timeout=10)
+    assert done.returncode == 3, done.stderr
+    payload = json.loads(done.stdout)
+    assert payload["budget_exhausted"] is True and payload["nodes_used"] == 100001
+    assert payload["orderings"] == []
+
+
 def test_cli_check_on_prime_denominators_stays_fast(tmp_path):
     # eigenvalues and norms^2 2/p over the first 6,000 primes: Fraction
     # prefix sums would carry the product of the primes as denominator

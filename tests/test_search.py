@@ -1,8 +1,12 @@
 import itertools
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectral_tetris import (
     FrameSpec,
@@ -13,7 +17,7 @@ from spectral_tetris import (
     search,
     verify_matrix,
 )
-from helpers import random_ready_spec
+from helpers import mixed_radix_key, random_ready_spec, reference_walk
 
 F = Fraction
 
@@ -236,7 +240,9 @@ def _fractional_requests(seed: int, count: int):
 
 def test_the_walk_on_fractions_past_the_lift_limit_matches_the_int_walk(monkeypatch):
     # Past the limit the walk takes the same steps on the table's
-    # Fractions: the same orderings, node counts and memo hits.
+    # Fractions: the same orderings, node counts and memo hits.  The
+    # Fractions come from a patched ``_lift``, since a patched limit would
+    # also shrink the dead set's room.
     requests = [
         SearchRequest(norms_sq=(26, 20, 13, 12, 7, 4, 3, 3), eigenvalues=(24, 24, 22, 18)),
         SearchRequest(norms_sq=(7, 7, 6, 1, 1, 3, 3), eigenvalues=(F(28, 3),) * 3, max_results=100),
@@ -244,8 +250,17 @@ def test_the_walk_on_fractions_past_the_lift_limit_matches_the_int_walk(monkeypa
     ]
     on_ints = [find_ready_orderings(request) for request in requests]
     assert any(result.nodes_used for result in on_ints)
-    monkeypatch.setattr(search, "_LIFT_LIMIT_BITS", 0)
+    monkeypatch.setattr(search._Walk, "_lift", lambda walk: (walk.norm_values, walk.eig_values))
     assert [find_ready_orderings(request) for request in requests] == on_ints
+
+
+def test_the_lift_past_its_limit_returns_the_table_fractions(monkeypatch):
+    walk = search._Walk(SearchRequest(norms_sq=(F(9, 2), F(1, 3), 2), eigenvalues=(F(41, 6),)))
+    monkeypatch.setattr(search, "_LIFT_LIMIT_BITS", 3 * 4)  # D = 6: 3 bits, 4 values
+    assert walk._lift() == ([27, 12, 2], [41])
+    monkeypatch.setattr(search, "_LIFT_LIMIT_BITS", 3 * 4 - 1)
+    norm_masses, eig_masses = walk._lift()
+    assert norm_masses is walk.norm_values and eig_masses is walk.eig_values
 
 
 def test_a_request_the_heuristics_answer_never_lifts(monkeypatch):
@@ -257,3 +272,74 @@ def test_a_request_the_heuristics_answer_never_lifts(monkeypatch):
         SearchRequest(norms_sq=(F(9, 2), F(1, 3)), eigenvalues=(F(29, 6),), max_results=1)
     )
     assert result.orderings and result.nodes_used == 0
+
+
+_SMALL_VALUES = (F(1), F(2), F(3), F(1, 2), F(3, 2), F(1, 3), F(5, 3), F(3, 4))
+
+
+@st.composite
+def _small_requests(draw):
+    norms = tuple(draw(st.lists(st.sampled_from(_SMALL_VALUES), min_size=1, max_size=7)))
+    weights = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    eigenvalues = tuple(sum(norms) * w / sum(weights) for w in weights)
+    return SearchRequest(
+        norms_sq=norms,
+        eigenvalues=eigenvalues,
+        max_results=draw(st.sampled_from((1, 3, 10_000))),
+        budget=draw(st.sampled_from((4, 60, 10**6))),
+    )
+
+
+def _table_counts(values) -> list[int]:
+    counts = Counter(values)
+    return [counts[value] for value in sorted(counts, reverse=True)]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    request=_small_requests(),
+    path=st.sampled_from(("int", "fraction", "capped")),
+    room=st.integers(0, 12),
+)
+def test_the_int_keyed_walk_matches_the_tuple_keyed_reference(request, path, room):
+    # The carried key is the mixed-radix value of the live counts at every
+    # node, and the result equals the tuple-keyed reference in every
+    # field: on ints, on Fractions (limit below the lift's bits) and with
+    # a dead set of ``room`` keys
+    starts = _table_counts(request.norms_sq) + _table_counts(request.eigenvalues)
+    width = mixed_radix_key(starts, starts).bit_length()
+    values = set(request.norms_sq) | set(request.eigenvalues)
+    common = math.lcm(*(value.denominator for value in values))
+    lift_bits = common.bit_length() * (len(set(request.norms_sq)) + len(set(request.eigenvalues)))
+    limit = {
+        "int": search._LIFT_LIMIT_BITS,
+        "fraction": lift_bits - 1,
+        "capped": max(lift_bits, room * width),
+    }[path]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "_LIFT_LIMIT_BITS", limit)
+        patch.setattr(search._Walk, "run", reference_walk)
+        expected = find_ready_orderings(request)
+
+    walks, mass_types = set(), set()
+    children = search._Walk.children
+
+    def checked(walk, mass, key):
+        def live():
+            return mixed_radix_key(walk.norm_counts + walk.eig_counts, starts)
+
+        walks.add(walk)
+        assert key == live()
+        for child in children(walk, mass, key):
+            assert child[1] == live()
+            mass_types.add(type(child[0]))
+            yield child
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "_LIFT_LIMIT_BITS", limit)
+        patch.setattr(search._Walk, "children", checked)
+        result = find_ready_orderings(request)
+    assert result == expected
+    assert mass_types <= {Fraction if path == "fraction" else int}
+    for walk in walks:
+        assert len(walk.dead) <= limit // width
