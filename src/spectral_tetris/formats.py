@@ -46,10 +46,10 @@ from .readiness import FrameSpec, _frame_spec
 from .scalar import (
     RadicalScalar,
     describe_rational,
-    exact_sum,
     format_ratio,
     parse_rational,
     radical_of_ints,
+    sum_ratios,
 )
 
 GENERATOR_NAME = "spectral-tetris"
@@ -206,16 +206,16 @@ def parse_spec_payload(payload: dict) -> tuple[FrameSpec, list[str]]:
         # one warning per rounded occurrence, in list order
         warnings.extend(note for _, note in squares if note is not None)
     else:
-        total = exact_sum(eigenvalues)
-        if total.denominator != 1 or total <= 0:
+        total, den = sum_ratios(eigen_pairs)
+        if den != 1 or total <= 0:
             raise ValueError(
                 "unit norms need the eigenvalues to sum to a positive integer, "
-                f"got {describe_rational(total)}"
+                f"got {describe_rational(Fraction(total, den))}"
             )
         if total > MAX_EQUAL_NORM_VECTORS:  # an equal-norm spec: the same limit
-            limit = MAX_EQUAL_NORM_VECTORS
-            raise ValueError(f"{describe_rational(total)} unit norms exceed the limit of {limit}")
-        norms_sq, norm_pairs = (Fraction(1),) * int(total), ((1, 1),) * int(total)
+            limit, count = MAX_EQUAL_NORM_VECTORS, describe_rational(Fraction(total))
+            raise ValueError(f"{count} unit norms exceed the limit of {limit}")
+        norms_sq, norm_pairs = (Fraction(1),) * total, ((1, 1),) * total
     return _frame_spec(eigenvalues, norms_sq, eigen_pairs, norm_pairs), warnings
 
 

@@ -26,9 +26,6 @@ Fraction prefix sums of 2/p over the first 6,000 primes carry the
 product of the primes.  A lift over the lcm of all denominators fails
 too: with the squared norms 1/p, (p-1)/p for 20,000 primes p near 10^5
 every row sums to an integer, yet that lcm has about 340,000 bits.
-On a long list of values the trace totals (:func:`_counted_sum`) add
-each distinct pair once, times its multiplicity, so a unit-norm spec's M
-norms are one term; a short list is summed term by term.
 
 Also here: the quick sufficient screens for sorted sequences, the
 constant-spectrum (tight) and unit-norm reformulations, and the
@@ -37,11 +34,9 @@ majorization existence test (which is constructor-independent).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd
 
 from .errors import ConstructionStuckError, NotSortedError, TraceMismatchError
 from .scalar import ZERO, add_ratios, as_rational, describe_rational, exact_sum, sum_ratios
@@ -173,29 +168,8 @@ class ReadinessReport:
     detail: str = ""
 
 
-# Counting costs a fixed 3 us or so (the Counter) plus a hash per pair;
-# it repays that only on long lists that repeat.  On lists of one value
-# it wins from about 24 pairs, on lists of nine integer values from about
-# 96, and on lists of distinct values never (timed in-process per call).
-_COUNT_FROM = 128
-
-
-def _counted_sum(pairs) -> Ratio:
-    """``sum_ratios(pairs)``.  A list of at least ``_COUNT_FROM`` pairs is
-    counted, and each distinct pair added once: k copies of n/d are
-    (k/g * n)/(d/g) with g = gcd(k, d), already reduced.  A shorter list
-    takes one term per pair."""
-    if len(pairs) < _COUNT_FROM:
-        return sum_ratios(pairs)
-    terms = []
-    for (num, den), k in Counter(pairs).items():
-        g = gcd(k, den)
-        terms.append((k // g * num, den // g))
-    return sum_ratios(terms)
-
-
 def _require_trace(spec: FrameSpec) -> None:
-    norms_total, eigenvalues_total = _counted_sum(spec._norm_pairs), _counted_sum(spec._eigen_pairs)
+    norms_total, eigenvalues_total = sum_ratios(spec._norm_pairs), sum_ratios(spec._eigen_pairs)
     if norms_total != eigenvalues_total:
         raise TraceMismatchError(
             f"squared norms sum to {describe_rational(Fraction(*norms_total))}, "
@@ -322,7 +296,7 @@ def easy_sufficient(spec: FrameSpec) -> bool:
     """
     _require_sorted(spec.eigenvalues, increasing=True, what="eigenvalues")
     _require_sorted(spec.norms_sq, increasing=True, what="squared norms")
-    if _counted_sum(spec._norm_pairs) != _counted_sum(spec._eigen_pairs):
+    if sum_ratios(spec._norm_pairs) != sum_ratios(spec._eigen_pairs):
         return False
     m_count, dim = spec.count, spec.dim
     for ell in range(dim):
@@ -338,10 +312,12 @@ def easy_sufficient(spec: FrameSpec) -> bool:
 
 
 def tight_bound(norms_sq, dim: int) -> Fraction:
-    """The tight frame bound: total squared norm divided by the dimension."""
+    """The tight frame bound: total squared norm divided by the dimension.
+    An empty or non-positive list is refused as :class:`FrameSpec` refuses it."""
     values = _rational_tuple(norms_sq)
     if dim < 1:
         raise ValueError("dimension must be positive")
+    _check_least(dim, min(values, default=None))  # dim, checked above, stands for the eigenvalues
     return exact_sum(values) / dim
 
 

@@ -24,15 +24,20 @@ that this module provides:
   other_den) the cross sum is reduced when g == 1, else only gcd(total, g)
   can cancel.  So every gcd has an operand no larger than the added term's
   denominator, and a running sum's den is the denominator of its value.
-  ``sum_ratios`` folds it over int pairs and ``exact_sum`` over
-  rationals; ``describe_rational`` renders a rational for a message, by
-  its digit counts when it is too long for ``str``.
+  ``sum_ratios`` is the one rule for the total of a multiset: below
+  ``_COUNT_FROM`` (128) pairs it folds ``add_ratios``; from there up it
+  counts the pairs and adds each distinct one once, so the N equal values
+  of a unit-norm or tight spec are one term (counting has a fixed cost
+  that only long lists win back).  ``exact_sum`` is its face on rationals;
+  ``describe_rational`` renders a rational for a message, by its digit
+  counts when it is too long for ``str``.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 
@@ -98,8 +103,24 @@ def add_ratios(num: int, den: int, other: int, other_den: int) -> tuple[int, int
     return total // g, scale * (other_den // g)
 
 
+# Counting costs a fixed 3 us or so (the Counter) plus a hash per pair;
+# it repays that only on long lists that repeat.  On lists of one value
+# it wins from about 24 pairs, on lists of nine integer values from about
+# 96, and on lists of distinct values never (timed in-process per call).
+_COUNT_FROM = 128
+
+
 def sum_ratios(pairs) -> tuple[int, int]:
-    """The exact sum of ``(num, den)`` pairs, one :func:`add_ratios` per term."""
+    """The reduced sum of a sequence of reduced ``(num, den)`` pairs.  A
+    sequence of at least ``_COUNT_FROM`` pairs is counted, and each distinct
+    pair added once: k copies of n/d are (k/g * n)/(d/g) with g = gcd(k, d),
+    already reduced.  A shorter one takes one :func:`add_ratios` per pair."""
+    if len(pairs) >= _COUNT_FROM:
+        counted = []
+        for (num, den), k in Counter(pairs).items():
+            g = math.gcd(k, den)
+            counted.append((k // g * num, den // g))
+        pairs = counted
     num, den = 0, 1
     for other, other_den in pairs:
         num, den = add_ratios(num, den, other, other_den)
@@ -107,8 +128,8 @@ def sum_ratios(pairs) -> tuple[int, int]:
 
 
 def exact_sum(values) -> Fraction:
-    """The exact sum of rationals, one :func:`add_ratios` per term."""
-    return Fraction(*sum_ratios((value.numerator, value.denominator) for value in values))
+    """The exact sum of rationals, by :func:`sum_ratios` on their pairs."""
+    return Fraction(*sum_ratios([(value.numerator, value.denominator) for value in values]))
 
 
 def as_rational(value) -> Fraction:

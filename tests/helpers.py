@@ -28,7 +28,7 @@ from spectral_tetris import (
 )
 from spectral_tetris import formats, search
 from spectral_tetris.formats import GENERATOR_NAME, GENERATOR_VERSION, NORM_DENOMINATOR_LIMIT
-from spectral_tetris.scalar import describe_rational
+from spectral_tetris.scalar import add_ratios, describe_rational
 
 
 def grid(matrix: SynthesisMatrix) -> list[list[tuple[int, Fraction]]]:
@@ -436,6 +436,15 @@ def reference_pnstc(spec: FrameSpec) -> SynthesisMatrix:
         kind = BlockKind.DEGENERATE_BLOCK if block.degenerate else BlockKind.BLOCK_2X2
         log.append(BlockRecord(kind, (row, row + 1), (col, col + 1)))
     return SynthesisMatrix(dim=spec.dim, count=spec.count, entries=entries, block_log=tuple(log))
+
+
+def fold_ratios(pairs) -> tuple[int, int]:
+    """Reference for ``scalar.sum_ratios``: one ``add_ratios`` per pair,
+    however long the list and however often a pair repeats."""
+    num, den = 0, 1
+    for other, other_den in pairs:
+        num, den = add_ratios(num, den, other, other_den)
+    return num, den
 
 
 def reference_partition(spec: FrameSpec) -> Partition:

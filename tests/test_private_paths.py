@@ -7,9 +7,10 @@ loader builds its records so, and the spec file parser builds its
 :class:`FrameSpec` from the pairs it made while parsing.  Each object
 must equal, and hash like, what the public constructor builds from the
 same values, and must set every attribute the public constructor sets.
-A long list's trace total adds each distinct pair once; it must equal the
-sum of one term per value.  The ordering search checks its candidates on
-specs built from its own table of values, with the public checks' errors.
+A long list's exact total (``scalar.sum_ratios``) adds each distinct pair
+once; it must equal the sum of one term per value.  The ordering search
+checks its candidates on specs built from its own table of values, with
+the public checks' errors.
 """
 
 import importlib.util
@@ -38,9 +39,14 @@ from spectral_tetris import (
     pnstc,
     unit_tight,
 )
-from spectral_tetris.readiness import _COUNT_FROM, _counted_sum
-from spectral_tetris.scalar import format_rational, sum_ratios
-from helpers import SEARCH_FAMILIES, matrix_to_payload, random_mixed_spec, spec_parse_outcomes
+from spectral_tetris.scalar import _COUNT_FROM, format_rational, sum_ratios
+from helpers import (
+    SEARCH_FAMILIES,
+    fold_ratios,
+    matrix_to_payload,
+    random_mixed_spec,
+    spec_parse_outcomes,
+)
 
 F = Fraction
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
@@ -177,13 +183,13 @@ PAIR_LISTS = st.lists(PAIRS, max_size=6).flatmap(
 @given(pairs=PAIR_LISTS, repeat=st.sampled_from([1, 2, 12, 1000]))
 def test_counted_sum_is_the_sum_of_every_term(pairs, repeat):
     pairs = pairs * repeat
-    assert _counted_sum(pairs) == sum_ratios(pairs)
+    assert sum_ratios(pairs) == fold_ratios(pairs)
 
 
 def test_counted_sum_on_both_sides_of_the_count_cutoff():
     for length in (_COUNT_FROM - 1, _COUNT_FROM, _COUNT_FROM + 1):
         pairs = ([(1, 6), (5, 6), (2, 1)] * length)[:length]
-        assert _counted_sum(pairs) == sum_ratios(pairs)
+        assert sum_ratios(pairs) == fold_ratios(pairs)
 
 
 def _load_workloads(monkeypatch):

@@ -152,6 +152,15 @@ def test_tight_sufficient_examples():
     assert tight_sufficient((2, 2, 1, 1, 1, 1), 2) is True
     with pytest.raises(NotSortedError):
         tight_sufficient((1, 2), 2)
+    # refused before the bound is taken, as tight_ready refuses them
+    for norms, message in [
+        ((), "eigenvalues and squared norms must be nonempty"),
+        ((0, 0), "squared norms must be positive"),
+        ((-1,), "squared norms must be positive"),
+    ]:
+        for screen in (tight_sufficient, tight_ready):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                screen(norms, 1)
 
 
 def test_tight_ready_examples():

@@ -18,7 +18,13 @@ from spectral_tetris import (
     parse_rational,
     to_float,
 )
-from spectral_tetris.scalar import add_ratios, describe_rational, exact_sum, radical_of_ints
+from spectral_tetris.scalar import (
+    _COUNT_FROM,
+    add_ratios,
+    describe_rational,
+    exact_sum,
+    radical_of_ints,
+)
 from helpers import radical_product
 
 F = Fraction
@@ -70,8 +76,10 @@ def test_describe_rational_gives_digit_counts_past_the_text_limit():
     assert describe_rational(F(10**5000 + 1)) == "<about 5001 digits>"
 
 
-@given(st.lists(fractions, max_size=20))
-def test_exact_sum_is_the_sum(values):
+@given(st.lists(fractions, max_size=20), st.sampled_from([1, _COUNT_FROM // 8, _COUNT_FROM]))
+def test_exact_sum_is_the_sum(values, repeat):
+    # repeated, a list of 8 values or more reaches the counting cutoff
+    values = values * repeat
     assert exact_sum(values) == sum(values, F(0))
 
 
