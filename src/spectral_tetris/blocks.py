@@ -5,10 +5,12 @@ and first-row squared norm x; its second row then squares to
 y = a1^2 + a2^2 - x.  It exists iff a1^2 + a2^2 >= x > 0 and both column
 masses lie on the same side of x.
 
-The masses are ints or Fractions, and a nonpositive one raises
-ValueError.  The checks, the formula and the degeneracy test run on ints:
-the three masses are lifted to the lcm of their own denominators, so den
-is bounded by one block, and each of the four entries is built from its
+The masses are ints or Fractions, or anything else
+:func:`~spectral_tetris.scalar.as_rational` reads (a rational string; a
+float raises TypeError), and a nonpositive one raises ValueError.  The
+checks, the formula and the degeneracy test run on ints: the three
+masses are lifted to the lcm of their own denominators, so den is
+bounded by one block, and each of the four entries is built from its
 int quotient, reduced with one gcd and with no Fraction.
 
 :func:`~spectral_tetris.construct.pnstc` calls :func:`build_block` once
@@ -25,7 +27,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import BlockInfeasibleError
-from .scalar import RadicalScalar, _radical
+from .scalar import RadicalScalar, _radical, as_rational
 
 
 @dataclass(frozen=True)
@@ -56,9 +58,13 @@ def _block(entries, degenerate: bool) -> Block2x2:
 
 def _lifted(x, a1_sq, a2_sq) -> tuple[int, int, int, int]:
     """(x, a1^2, a2^2, den): the masses as ints in units of 1/den, with den
-    the lcm of their three denominators.  Raises ValueError unless all
-    three are positive."""
-    den = lcm(x.denominator, a1_sq.denominator, a2_sq.denominator)
+    the lcm of their three denominators.  A mass with no ``denominator``
+    goes through :func:`~spectral_tetris.scalar.as_rational`, as at every
+    other public entry.  Raises ValueError unless all three are positive."""
+    try:
+        den = lcm(x.denominator, a1_sq.denominator, a2_sq.denominator)
+    except AttributeError:
+        return _lifted(as_rational(x), as_rational(a1_sq), as_rational(a2_sq))
     lifted = (
         x.numerator * (den // x.denominator),
         a1_sq.numerator * (den // a1_sq.denominator),

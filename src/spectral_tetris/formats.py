@@ -42,14 +42,14 @@ from .construct import (
     SynthesisMatrix,
     _block_record,
 )
-from .readiness import FrameSpec, _frame_spec
+from .readiness import FrameSpec
 from .scalar import (
     RadicalScalar,
     describe_rational,
+    exact_sum,
     format_ratio,
     parse_rational,
     radical_of_ints,
-    sum_ratios,
 )
 
 GENERATOR_NAME = "spectral-tetris"
@@ -84,35 +84,27 @@ def canonical_json(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _parse_each(payload: dict, key: str, parse=parse_rational) -> tuple[tuple, tuple]:
+def _parse_each(payload: dict, key: str, parse=parse_rational) -> tuple:
     """``parse`` over the ``str`` of each item of the JSON array
     ``payload[key]``, parsing each distinct literal once; anything but an
     array raises TypeError.
 
-    Returns the results and, item for item, the reduced ``(num, den)``
-    pair of each result's Fraction (``parse`` gives a Fraction, or a
-    Fraction and its note), read once per distinct literal and shared
-    per distinct value, as :class:`FrameSpec` shares them.  Literals are
-    parsed in list order, so a bad one is reported where the plain
+    Every occurrence of a literal gets the one result made for it, so
+    :class:`FrameSpec` reads a repeated literal's Fraction once.  Literals
+    are parsed in list order, so a bad one is reported where the plain
     per-item loop would report it.
     """
     literals = payload[key]
     if type(literals) is not list:
         raise TypeError(f"{key!r} must be a JSON array, not {type(literals).__name__}")
-    parsed: dict = {}  # literal -> (result, pair)
-    shared: dict = {}  # pair -> the one equal pair kept
-    results, pairs = [], []
+    parsed: dict = {}  # literal -> result
+    results = []
     for text in map(str, literals):
-        made = parsed.get(text)
-        if made is None:
-            result = parse(text)
-            value = result[0] if type(result) is tuple else result
-            pair = (value.numerator, value.denominator)
-            made = parsed[text] = (result, shared.setdefault(pair, pair))
-        result, pair = made
+        result = parsed.get(text)
+        if result is None:
+            result = parsed[text] = parse(text)
         results.append(result)
-        pairs.append(pair)
-    return tuple(results), tuple(pairs)
+    return tuple(results)
 
 
 _PLAIN_DECIMAL = re.compile(r"([0-9]+)(?:\.([0-9]*))?")
@@ -177,14 +169,13 @@ def _square_norm(text: str) -> tuple[Fraction, str | None]:
 def parse_spec_payload(payload: dict) -> tuple[FrameSpec, list[str]]:
     """Build a FrameSpec from a parsed spec file; returns (spec, warnings).
 
-    The spec is built through ``readiness._frame_spec`` from the values and
-    the pairs :func:`_parse_each` makes together, with the checks and
-    errors of the public constructor.
+    The values are parsed by :func:`_parse_each`, and the public
+    constructor checks them and takes them apart.
     """
     warnings: list[str] = []
     if "dim" not in payload or "eigenvalues" not in payload:
         raise ValueError("spec file needs 'dim' and 'eigenvalues'")
-    eigenvalues, eigen_pairs = _parse_each(payload, "eigenvalues")
+    eigenvalues = _parse_each(payload, "eigenvalues")
     if _int_field(payload["dim"], "spec file") != len(eigenvalues):
         raise ValueError(
             f"dim is {payload['dim']} but {len(eigenvalues)} eigenvalues were given"
@@ -196,9 +187,9 @@ def parse_spec_payload(payload: dict) -> tuple[FrameSpec, list[str]]:
     if len(provided) != 1:
         raise ValueError("provide exactly one of norms_squared, norms, unit")
     if provided[0] == "norms_squared":
-        norms_sq, norm_pairs = _parse_each(payload, "norms_squared")
+        norms_sq = _parse_each(payload, "norms_squared")
     elif provided[0] == "norms":
-        squares, norm_pairs = _parse_each(payload, "norms", _square_norm)
+        squares = _parse_each(payload, "norms", _square_norm)
         norms_sq = tuple(value for value, _ in squares)
         warnings.append(
             "decimal norms are a lossy input path; pass norms_squared for exact results"
@@ -206,17 +197,17 @@ def parse_spec_payload(payload: dict) -> tuple[FrameSpec, list[str]]:
         # one warning per rounded occurrence, in list order
         warnings.extend(note for _, note in squares if note is not None)
     else:
-        total, den = sum_ratios(eigen_pairs)
-        if den != 1 or total <= 0:
+        total = exact_sum(eigenvalues)
+        if total.denominator != 1 or total <= 0:
             raise ValueError(
                 "unit norms need the eigenvalues to sum to a positive integer, "
-                f"got {describe_rational(Fraction(total, den))}"
+                f"got {describe_rational(total)}"
             )
         if total > MAX_EQUAL_NORM_VECTORS:  # an equal-norm spec: the same limit
-            limit, count = MAX_EQUAL_NORM_VECTORS, describe_rational(Fraction(total))
+            limit, count = MAX_EQUAL_NORM_VECTORS, describe_rational(total)
             raise ValueError(f"{count} unit norms exceed the limit of {limit}")
-        norms_sq, norm_pairs = (Fraction(1),) * total, ((1, 1),) * total
-    return _frame_spec(eigenvalues, norms_sq, eigen_pairs, norm_pairs), warnings
+        norms_sq = (Fraction(1),) * total.numerator
+    return FrameSpec(eigenvalues, norms_sq), warnings
 
 
 def load_json_file(path: str, what: str) -> Any:
@@ -377,9 +368,8 @@ def matrix_from_payload(payload: dict) -> SynthesisMatrix:
 def spec_from_matrix_metadata(payload: dict) -> FrameSpec | None:
     metadata = payload.get("metadata", {})
     if "eigenvalues" in metadata and "norms_squared" in metadata:
-        eigenvalues, eigen_pairs = _parse_each(metadata, "eigenvalues")
-        norms_sq, norm_pairs = _parse_each(metadata, "norms_squared")
-        return _frame_spec(eigenvalues, norms_sq, eigen_pairs, norm_pairs)
+        eigenvalues = _parse_each(metadata, "eigenvalues")
+        return FrameSpec(eigenvalues, _parse_each(metadata, "norms_squared"))
     return None
 
 

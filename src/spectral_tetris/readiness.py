@@ -82,9 +82,9 @@ class FrameSpec:
     The package reads the values as reduced int pairs, made once here:
     ``_eigen_pairs`` and ``_norm_pairs``, with one shared pair per
     distinct value.  They are plain attributes, not fields, so equality,
-    hashing and ``repr`` see the two tuples of Fractions alone.  The spec
-    file parser makes the pairs as it makes the Fractions, and builds its
-    spec through :func:`_frame_spec`, which runs the same checks on them.
+    hashing and ``repr`` see the two tuples of Fractions alone.  This is
+    the one place a spec is checked and taken apart: the spec file parser
+    and the search build their specs here too.
     """
 
     eigenvalues: tuple[Fraction, ...]
@@ -92,7 +92,13 @@ class FrameSpec:
 
     def __post_init__(self):
         eigenvalues, norms_sq = _rational_tuple(self.eigenvalues), _rational_tuple(self.norms_sq)
-        _fill_spec(self, eigenvalues, norms_sq, _ratio_tuple(eigenvalues), _ratio_tuple(norms_sq))
+        eigen_pairs, norm_pairs = _ratio_tuple(eigenvalues), _ratio_tuple(norms_sq)
+        # every den is positive, so the least pair has the least numerator
+        _check_least(min(eigen_pairs, default=(None,))[0], min(norm_pairs, default=(None,))[0])
+        object.__setattr__(self, "eigenvalues", eigenvalues)
+        object.__setattr__(self, "norms_sq", norms_sq)
+        object.__setattr__(self, "_eigen_pairs", eigen_pairs)
+        object.__setattr__(self, "_norm_pairs", norm_pairs)
 
     @property
     def dim(self) -> int:
@@ -113,25 +119,6 @@ def _check_least(eigen_least, norm_least) -> None:
         raise ValueError("eigenvalues must be positive")
     if norm_least <= 0:
         raise ValueError("squared norms must be positive")
-
-
-def _fill_spec(spec: FrameSpec, eigenvalues, norms_sq, eigen_pairs, norm_pairs) -> FrameSpec:
-    """Check the values through their pairs and set all four attributes
-    of ``spec``.  Every den is positive, so the least pair has the least
-    numerator: one ``min`` per side decides positivity."""
-    _check_least(min(eigen_pairs, default=(None,))[0], min(norm_pairs, default=(None,))[0])
-    object.__setattr__(spec, "eigenvalues", eigenvalues)
-    object.__setattr__(spec, "norms_sq", norms_sq)
-    object.__setattr__(spec, "_eigen_pairs", eigen_pairs)
-    object.__setattr__(spec, "_norm_pairs", norm_pairs)
-    return spec
-
-
-def _frame_spec(eigenvalues, norms_sq, eigen_pairs, norm_pairs) -> FrameSpec:
-    """The :class:`FrameSpec` of tuples of Fractions and of their reduced
-    pairs, which the caller has made together (``formats``): the public
-    constructor's checks and errors, without taking the values apart."""
-    return _fill_spec(object.__new__(FrameSpec), eigenvalues, norms_sq, eigen_pairs, norm_pairs)
 
 
 class Violation(Enum):
@@ -378,10 +365,12 @@ def majorizes(eigenvalues, norms_sq) -> bool:
     norms and the totals agree.  Independent of any particular
     construction.  The partial sums are reduced ``(num, den)`` int pairs
     (:func:`~spectral_tetris.scalar.add_ratios`), compared by
-    cross-multiplying.
+    cross-multiplying.  The values are read through :class:`FrameSpec`,
+    so an empty or non-positive side raises its ValueError.
     """
-    eig = [(v.numerator, v.denominator) for v in sorted(_rational_tuple(eigenvalues), reverse=True)]
-    nsq = [(v.numerator, v.denominator) for v in sorted(_rational_tuple(norms_sq), reverse=True)]
+    spec = FrameSpec(eigenvalues, norms_sq)
+    eig = [(v.numerator, v.denominator) for v in sorted(spec.eigenvalues, reverse=True)]
+    nsq = [(v.numerator, v.denominator) for v in sorted(spec.norms_sq, reverse=True)]
     if sum_ratios(eig) != sum_ratios(nsq):  # reduced pairs: equal iff the values are
         return False
     eig_acc = nsq_acc = (0, 1)

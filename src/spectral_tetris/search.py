@@ -11,18 +11,16 @@ once.  Values are drawn per distinct magnitude, so permutations that only
 swap equal values are enumerated once.
 
 Each multiset is read once, into a table of its distinct values sorted
-decreasing, with their reduced ``(num, den)`` pairs and counts.  The
-search sees the values through that table alone: the walk places table
-indices, and a found ordering is a pair of index tuples, turned into
-values once, at the result.
+decreasing, with their counts.  The search sees the values through that
+table alone: the walk places table indices, and a found ordering is a
+pair of index tuples, turned into values once, at the result.
 
 Three cheap heuristic orderings are tried before the exhaustive walk:
 norms decreasing with eigenvalues increasing, both decreasing, and both
 increasing.  They are read off the table (decreasing is table order),
-and each is checked on a spec built from the table's values and pairs
-through :func:`~spectral_tetris.readiness._frame_spec`, which keeps the
-public constructor's checks.  The walk itself is budgeted by node count
-(deterministic, unlike wall time).
+and each distinct one is checked on a :class:`FrameSpec` built from the
+table's values: one spec per candidate, and none in the walk.  The walk
+itself is budgeted by node count (deterministic, unlike wall time).
 
 The two sums are equal, so the remaining norm mass minus the remaining
 eigenvalue mass is the residual of the open row (positive) or minus the
@@ -109,8 +107,8 @@ from itertools import accumulate
 from math import lcm
 from operator import mul
 
-from .readiness import _check_least, _frame_spec, _rational_tuple, check_ready
-from .scalar import exact_sum
+from .readiness import FrameSpec, check_ready
+from .scalar import sum_ratios
 
 DEFAULT_BUDGET = 1_000_000
 DEFAULT_MAX_RESULTS = 16
@@ -133,10 +131,10 @@ class SearchRequest:
     budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
-        object.__setattr__(self, "norms_sq", _rational_tuple(self.norms_sq))
-        object.__setattr__(self, "eigenvalues", _rational_tuple(self.eigenvalues))
-        _check_least(min(self.eigenvalues, default=None), min(self.norms_sq, default=None))
-        if exact_sum(self.norms_sq) != exact_sum(self.eigenvalues):
+        spec = FrameSpec(self.eigenvalues, self.norms_sq)
+        object.__setattr__(self, "norms_sq", spec.norms_sq)
+        object.__setattr__(self, "eigenvalues", spec.eigenvalues)
+        if sum_ratios(spec._norm_pairs) != sum_ratios(spec._eigen_pairs):
             raise ValueError("norm and eigenvalue multisets must have equal sums")
         if self.max_results < 1:
             raise ValueError("max_results must be positive")
@@ -168,9 +166,8 @@ class _StopSearch(Exception):
 class _Walk:
     """State of one exhaustive walk, and the search's table of values.
 
-    The distinct norm and eigenvalue values are sorted once, decreasing,
-    and taken apart once into reduced ``(num, den)`` pairs, kept in the
-    same order; ``norm_counts`` / ``eig_counts`` hold how many of each
+    The distinct norm and eigenvalue values, Fractions, are sorted once,
+    decreasing; ``norm_counts`` / ``eig_counts`` hold how many of each
     remain.  Past the table the walk holds indices into it:
     ``norm_seq`` / ``eig_seq`` are the indices placed so far, in order,
     and ``found`` each ready ordering as a pair of index tuples.
@@ -193,8 +190,6 @@ class _Walk:
         norm_counts, eig_counts = Counter(req.norms_sq), Counter(req.eigenvalues)
         self.norm_values = sorted(norm_counts, reverse=True)
         self.eig_values = sorted(eig_counts, reverse=True)
-        self.norm_pairs = [(v.numerator, v.denominator) for v in self.norm_values]
-        self.eig_pairs = [(v.numerator, v.denominator) for v in self.eig_values]
         self.norm_counts = [norm_counts[v] for v in self.norm_values]
         self.eig_counts = [eig_counts[v] for v in self.eig_values]
         self.norm_seq: list[int] = []
@@ -219,17 +214,17 @@ class _Walk:
         table's denominators: ints, so the walk adds no fractions.  Once D's
         bit length times the table's length passes ``_LIFT_LIMIT_BITS``,
         the lcm stops and the table's Fractions are returned instead."""
-        pairs = self.norm_pairs + self.eig_pairs
-        denominators = {den for _, den in pairs}
+        values = self.norm_values + self.eig_values
+        denominators = {value.denominator for value in values}
         common = 1
         for den in denominators:
             common = lcm(common, den)
-            if common.bit_length() * len(pairs) > _LIFT_LIMIT_BITS:
+            if common.bit_length() * len(values) > _LIFT_LIMIT_BITS:
                 return self.norm_values, self.eig_values
         scale = {den: common // den for den in denominators}
         return (
-            [num * scale[den] for num, den in self.norm_pairs],
-            [num * scale[den] for num, den in self.eig_pairs],
+            [v.numerator * scale[v.denominator] for v in self.norm_values],
+            [v.numerator * scale[v.denominator] for v in self.eig_values],
         )
 
     def run(self) -> None:
@@ -354,9 +349,8 @@ def find_ready_orderings(req: SearchRequest) -> SearchResult:
     candidates = [(norms_dec, eigs_inc), (norms_dec, eigs_dec), (norms_inc, eigs_inc)]
     try:
         for norms, eigs in dict.fromkeys(candidates):
-            eig_values, norm_values = _pick(walk.eig_values, eigs), _pick(walk.norm_values, norms)
-            eig_pairs, norm_pairs = _pick(walk.eig_pairs, eigs), _pick(walk.norm_pairs, norms)
-            if check_ready(_frame_spec(eig_values, norm_values, eig_pairs, norm_pairs)).ready:
+            spec = FrameSpec(_pick(walk.eig_values, eigs), _pick(walk.norm_values, norms))
+            if check_ready(spec).ready:
                 walk.record(norms, eigs)
         walk.run()
         stopped_early = False

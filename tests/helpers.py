@@ -28,7 +28,7 @@ from spectral_tetris import (
 )
 from spectral_tetris import formats, search
 from spectral_tetris.formats import GENERATOR_NAME, GENERATOR_VERSION, NORM_DENOMINATOR_LIMIT
-from spectral_tetris.scalar import add_ratios, describe_rational
+from spectral_tetris.scalar import add_ratios, describe_rational, parse_rational
 
 
 def grid(matrix: SynthesisMatrix) -> list[list[tuple[int, Fraction]]]:
@@ -269,16 +269,22 @@ def _parse_outcome(payload):
     return spec, spec._eigen_pairs, spec._norm_pairs, hash(spec), warnings
 
 
-def spec_parse_outcomes(payload) -> tuple:
-    """``formats.parse_spec_payload(payload)`` as it is, and with its spec
-    built by the public ``FrameSpec`` constructor from the same values:
-    each as the spec, its pairs, its hash and the warnings, or as the
-    exception type and message."""
-    def public_spec(eigenvalues, norms_sq, *_pairs):
-        return FrameSpec(eigenvalues, norms_sq)
+def _parse_every_item(payload, key, parse=parse_rational):
+    """Reference for ``formats._parse_each``: the same array check, then
+    ``parse`` over the ``str`` of every item, with no cache."""
+    literals = payload[key]
+    if type(literals) is not list:
+        raise TypeError(f"{key!r} must be a JSON array, not {type(literals).__name__}")
+    return tuple([parse(str(item)) for item in literals])
 
+
+def spec_parse_outcomes(payload) -> tuple:
+    """``formats.parse_spec_payload(payload)`` as it is, and with each
+    literal parsed anew for every item (:func:`_parse_every_item`): each
+    as the spec, its pairs, its hash and the warnings, or as the
+    exception type and message."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(formats, "_frame_spec", public_spec)
+        patch.setattr(formats, "_parse_each", _parse_every_item)
         public = _parse_outcome(payload)
     return _parse_outcome(payload), public
 

@@ -22,6 +22,15 @@ def test_block_exists_examples():
     assert block_exists(1, 2, 1) is True
 
 
+def test_block_masses_are_read_as_rationals():
+    assert build_block("1/2", 1, 1) == build_block(F(1, 2), 1, 1)
+    assert block_exists("3", "1", "1") is False
+    for masses in [(0.5, 1, 1), (1, 1.0, 1), (F(1, 2), 1, 0.5)]:
+        for call in (build_block, block_exists):
+            with pytest.raises(TypeError, match="^cannot coerce float to a rational$"):
+                call(*masses)
+
+
 def test_build_block_integer_case():
     block = build_block(2, 3, 3)
     assert block.entries[0][0].radicand == 1

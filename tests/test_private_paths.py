@@ -2,15 +2,16 @@
 
 ``pnstc`` builds its :class:`SynthesisMatrix` and every
 :class:`BlockRecord` past the public constructors' checks, ``build_block``
-its :class:`Block2x2` past the public coercion of rows to tuples, the matrix
-loader builds its records so, and the spec file parser builds its
-:class:`FrameSpec` from the pairs it made while parsing.  Each object
-must equal, and hash like, what the public constructor builds from the
-same values, and must set every attribute the public constructor sets.
-A long list's exact total (``scalar.sum_ratios``) adds each distinct pair
-once; it must equal the sum of one term per value.  The ordering search
-checks its candidates on specs built from its own table of values, with
-the public checks' errors.
+its :class:`Block2x2` past the public coercion of rows to tuples, and the
+matrix loader builds its records so.  Each object must equal, and hash
+like, what the public constructor builds from the same values, and must
+set every attribute the public constructor sets.  A :class:`FrameSpec`
+has one constructor: the spec file parser parses each distinct literal
+once, and its spec must equal, pair for pair, the spec of every item
+parsed anew; the ordering search builds one spec per heuristic candidate
+it checks and none in its walk.  A long list's exact total
+(``scalar.sum_ratios``) adds each distinct pair once; it must equal the
+sum of one term per value.
 """
 
 import importlib.util
@@ -37,6 +38,7 @@ from spectral_tetris import (
     find_ready_orderings,
     formats,
     pnstc,
+    search,
     unit_tight,
 )
 from spectral_tetris.scalar import _COUNT_FROM, format_rational, sum_ratios
@@ -119,19 +121,26 @@ def test_the_construct_path_runs_each_public_check_once_at_most(monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(SEARCH_FAMILIES))
-def test_the_search_builds_no_public_frame_spec(monkeypatch, name):
+def test_the_search_builds_one_spec_per_checked_candidate(monkeypatch, name):
     norms, eigenvalues = SEARCH_FAMILIES[name]
     request = SearchRequest(norms_sq=norms.split(), eigenvalues=eigenvalues.split())
-    built = []
-    original = FrameSpec.__post_init__
+    built, checked = [], []
+    original_init, original_check = FrameSpec.__post_init__, search.check_ready
 
-    def counted(spec):
+    def counted_init(spec):
         built.append(spec)
-        original(spec)
+        original_init(spec)
 
-    monkeypatch.setattr(FrameSpec, "__post_init__", counted)
+    def counted_check(spec):
+        checked.append(spec)
+        return original_check(spec)
+
+    monkeypatch.setattr(FrameSpec, "__post_init__", counted_init)
+    monkeypatch.setattr(search, "check_ready", counted_check)
     find_ready_orderings(request)
-    assert built == []
+    # one spec per distinct heuristic candidate, none by the walk
+    assert len(built) == len(checked) >= 1
+    assert all(a is b for a, b in zip(built, checked))
 
 
 @pytest.mark.parametrize(

@@ -204,6 +204,21 @@ def test_majorizes_examples():
     assert majorizes((2, 2), (3, 2)) is False  # totals differ
 
 
+@pytest.mark.parametrize(
+    "eigenvalues, norms_sq, message",
+    [
+        ((2, -1), (1, 0), "eigenvalues must be positive"),
+        ((0,), (0,), "eigenvalues must be positive"),
+        ((), (), "eigenvalues and squared norms must be nonempty"),
+        ((1,), (0, 1), "squared norms must be positive"),
+    ],
+)
+def test_majorizes_refuses_an_empty_or_nonpositive_side(eigenvalues, norms_sq, message):
+    # a frame operator has no negative eigenvalue: refused as FrameSpec refuses it
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        majorizes(eigenvalues, norms_sq)
+
+
 # few small denominators, so equal totals and tied partial sums are common
 _MASSES = st.lists(
     st.builds(Fraction, st.integers(1, 12), st.sampled_from([1, 2, 3, 4, 6])), min_size=1, max_size=7
