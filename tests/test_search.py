@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -303,9 +304,11 @@ def _table_counts(values) -> list[int]:
 )
 def test_the_int_keyed_walk_matches_the_tuple_keyed_reference(request, path, room):
     # The carried key is the mixed-radix value of the live counts at every
-    # node, and the result equals the tuple-keyed reference in every
-    # field: on ints, on Fractions (limit below the lift's bits) and with
-    # a dead set of ``room`` keys
+    # state the walk enters (a known-dead child is skipped before its
+    # value is placed), and the result equals the tuple-keyed reference in
+    # every field: on ints, on Fractions (limit below the lift's bits) and
+    # with a dead set of ``room`` keys.  The hook wraps the step that
+    # ``_Walk._steps`` makes.
     starts = _table_counts(request.norms_sq) + _table_counts(request.eigenvalues)
     width = mixed_radix_key(starts, starts).bit_length()
     values = set(request.norms_sq) | set(request.eigenvalues)
@@ -322,24 +325,60 @@ def test_the_int_keyed_walk_matches_the_tuple_keyed_reference(request, path, roo
         expected = find_ready_orderings(request)
 
     walks, mass_types = set(), set()
-    children = search._Walk.children
+    steps = search._Walk._steps
 
-    def checked(walk, mass, key):
+    def checked(walk):
         def live():
             return mixed_radix_key(walk.norm_counts + walk.eig_counts, starts)
 
+        def step(mass, key):
+            assert key == live()
+            for child in children(mass, key):
+                assert child[1] == live()
+                mass_types.add(type(child[0]))
+                yield child
+
         walks.add(walk)
-        assert key == live()
-        for child in children(walk, mass, key):
-            assert child[1] == live()
-            mass_types.add(type(child[0]))
-            yield child
+        children, key, tally = steps(walk)
+        return step, key, tally
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(search, "_LIFT_LIMIT_BITS", limit)
-        patch.setattr(search._Walk, "children", checked)
+        patch.setattr(search._Walk, "_steps", checked)
         result = find_ready_orderings(request)
     assert result == expected
     assert mass_types <= {Fraction if path == "fraction" else int}
     for walk in walks:
         assert len(walk.dead) <= limit // width
+
+
+_SWEPT_REQUESTS = {
+    # the largest catalog infeasible walk (2,025 nodes)
+    "catalog": SearchRequest(norms_sq=(26, 20, 13, 12, 7, 4, 3, 3), eigenvalues=(24, 24, 22, 18)),
+    # the unready multiset of test_unready_multiset_walk (9,743 nodes)
+    "unready": SearchRequest(norms_sq=(5, 1, 7, 1, 2, 9, 8, 8, 10), eigenvalues=(4, 37, 3, 5, 2)),
+    # the README spec, stopped by its result limit
+    "readme": SearchRequest(norms_sq=(9, 4, 3, 3, 1, 4), eigenvalues=(15, 4, 1, 4), max_results=16),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SWEPT_REQUESTS))
+def test_every_budget_stops_where_the_reference_stops(name):
+    # The step charges each child before its dead-set lookup, so a budget
+    # can stop the walk at any child, dead or live: every budget from 1 to
+    # 64, then a stride up to the full walk's nodes_used + 1, gives the
+    # reference's result in every field.
+    request = _SWEPT_REQUESTS[name]
+    full = find_ready_orderings(request)
+    last = full.nodes_used + 1
+    budgets = sorted({*range(1, 65), *range(65, last + 1, max(1, last // 40)), *range(last - 2, last + 1)})
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search._Walk, "run", reference_walk)
+        expected = [
+            find_ready_orderings(dataclasses.replace(request, budget=budget)) for budget in budgets
+        ]
+    results = [find_ready_orderings(dataclasses.replace(request, budget=budget)) for budget in budgets]
+    assert results == expected
+    for budget, result in zip(budgets, results):
+        assert result.budget_exhausted == (budget < full.nodes_used)
+        assert result == full or budget < full.nodes_used
