@@ -16,8 +16,8 @@ int quotient, reduced with one gcd and with no Fraction.
 :func:`~spectral_tetris.construct.pnstc` calls :func:`build_block` once
 per distinct (x, a1^2, a2^2) of a matrix, with x made from the cursor's
 int pair, and reuses the block's immutable cells wherever it repeats.
-:class:`Block2x2` keeps any rows it is given as tuples; :func:`build_block`
-makes tuples itself and builds its block past that coercion.
+:func:`build_block` builds each block through the public
+:class:`Block2x2` constructor.
 """
 
 from __future__ import annotations
@@ -44,16 +44,6 @@ class Block2x2:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple([tuple(row) for row in self.entries]))
-
-
-def _block(entries, degenerate: bool) -> Block2x2:
-    """A :class:`Block2x2` of rows that are tuples already, as
-    :func:`build_block` makes them: the public constructor's coercion
-    would double the cost of building the object."""
-    block = object.__new__(Block2x2)
-    object.__setattr__(block, "entries", entries)
-    object.__setattr__(block, "degenerate", degenerate)
-    return block
 
 
 def _lifted(x, a1_sq, a2_sq) -> tuple[int, int, int, int]:
@@ -115,7 +105,7 @@ def build_block(x, a1_sq, a2_sq) -> Block2x2:
     y = a1 + a2 - x
     if x == y:
         top = _radical(1, x, 2 * den)
-        return _block(entries=((top, top), (top, -top)), degenerate=False)
+        return Block2x2(entries=((top, top), (top, -top)), degenerate=False)
     # scale < 0 when x < y: the quotients stay nonnegative, and _radical
     # moves the sign off the denominator
     scale = den * (x - y)
@@ -123,7 +113,7 @@ def build_block(x, a1_sq, a2_sq) -> Block2x2:
     beta = _radical(1, x * (x - a1), scale)
     c_beta = _radical(1, y * (x - a1), scale)
     c_alpha = _radical(1, y * (a1 - y), scale)
-    return _block(
+    return Block2x2(
         entries=((alpha, beta), (c_beta, -c_alpha)),
         # x > 0, so a cell is zero iff a1 == y, a1 == x or y == 0
         degenerate=0 in (a1 - y, x - a1, y),

@@ -16,13 +16,16 @@ and reuses its cells: equal-norm and tight specs repeat the same few
 blocks, e.g. at most L - 1 distinct ones for unit norms at redundancy
 (2L-1)/L.
 
-The public :class:`SynthesisMatrix` and :class:`BlockRecord` constructors
-check what they are given.  ``pnstc`` builds both through private paths
+Every unit is a singleton column or a block over two adjacent rows and
+columns, so a :class:`BlockRecord`'s spans are index pairs.  The public
+:class:`SynthesisMatrix` and :class:`BlockRecord` constructors check what
+they are given.  ``pnstc`` builds both through private paths
 (:func:`_synthesis_matrix`, :func:`_block_record`) that check nothing: the
 cursor places each column once, in (col, row) order, so the entries are
 already sorted with no cell twice, and only a degenerate block, when one
 was built, has zero cells to drop.  ``formats`` reads a matrix file's
-block log through :func:`_block_record` too, after its own checks.
+block log through :func:`_block_record` too, after checking that each
+span is two ints.
 
 ``stc`` is the unit-norm specialization; ``unit_tight`` the unit-norm
 tight constructor with its closed-form feasibility test (redundancy >= 2,
@@ -68,8 +71,10 @@ class BlockKind(str, Enum):
 class BlockRecord:
     """One placed unit: a singleton column or a 2x2 block.
 
-    ``rows``/``cols`` are inclusive 0-based spans; every nonzero entry of
-    the matrix belongs to exactly one record.
+    ``rows``/``cols`` are inclusive 0-based spans, each a pair (first,
+    last); every nonzero entry of the matrix belongs to exactly one
+    record.  The constructor keeps either span given as any iterable as a
+    tuple, and raises ValueError unless both are pairs.
     """
 
     kind: BlockKind
@@ -77,9 +82,11 @@ class BlockRecord:
     cols: tuple[int, int]
 
     def __post_init__(self):
-        if type(self.rows) is not tuple or type(self.cols) is not tuple:
-            object.__setattr__(self, "rows", tuple(self.rows))
-            object.__setattr__(self, "cols", tuple(self.cols))
+        rows, cols = tuple(self.rows), tuple(self.cols)
+        if len(rows) != 2 or len(cols) != 2:
+            raise ValueError(f"block spans must be index pairs, got rows {rows}, cols {cols}")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
 
 
 # The private constructors set the fields past the checks of

@@ -17,7 +17,9 @@ Each distinct literal is parsed once.  An exact literal, and a plain decimal nor
 as ``1.25``, squared on ints, make one Fraction each.
 
 Matrix file: entries sorted by (col, row), no explicit zeros, each entry
-``{"row": r, "col": c, "sign": s, "rad": {"num": p, "den": q}}``.
+``{"row": r, "col": c, "sign": s, "rad": {"num": p, "den": q}}``; its
+metadata ``blockLog`` holds one ``{"kind": k, "rowSpan": [r0, r1],
+"colSpan": [c0, c1]}`` per placed unit, each span a pair of ints.
 ``dump_matrix_file`` writes it directly, byte-identical to
 ``canonical_json`` of the same payload.  Float CSV: one line per row,
 each cell a ``.17g`` decimal; the writer and the loader touch only the
@@ -38,7 +40,6 @@ from . import __version__
 from .construct import (
     MAX_EQUAL_NORM_VECTORS,
     BlockKind,
-    BlockRecord,
     SynthesisMatrix,
     _block_record,
 )
@@ -211,12 +212,14 @@ def parse_spec_payload(payload: dict) -> tuple[FrameSpec, list[str]]:
 
 
 def load_json_file(path: str, what: str) -> Any:
-    """The parsed JSON of ``path``.  JSON nested too deeply for the
-    parser's recursion raises ValueError naming ``what``, the file kind,
-    not RecursionError."""
+    """The parsed JSON of ``path``.  A file that is not UTF-8, not JSON, or
+    JSON nested too deeply for the parser's recursion raises ValueError
+    naming ``what``, the file kind."""
     with open(path, encoding="utf-8") as handle:
         try:
             return json.load(handle)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"malformed {what}: {exc}") from exc
         except RecursionError as exc:
             raise ValueError(f"malformed {what}: JSON nested too deeply") from exc
 
@@ -226,16 +229,17 @@ def load_spec_file(path: str) -> tuple[FrameSpec, list[str]]:
 
 
 # The matrix file as ``canonical_json`` renders it.  Entries and block-log
-# records always have the same keys, so one format string renders each;
-# the tests check the result against ``canonical_json`` byte for byte.
+# records always have the same keys, and a record's spans are pairs, so
+# one format string renders each; the tests check the result against
+# ``canonical_json`` byte for byte.
 _ENTRY = (
     '{\n      "col": %d,\n      "rad": {\n        "den": %d,\n        "num": %d\n'
     '      },\n      "row": %d,\n      "sign": %d\n    }'
 )
-_BLOCK_RECORD = '{\n        "colSpan": %s,\n        "kind": "%s",\n        "rowSpan": %s\n      }'
-# a record whose spans are pairs, as every constructed record's are
-_PAIR = "[\n          %d,\n          %d\n        ]"
-_PAIR_RECORD = _BLOCK_RECORD % (_PAIR, "%s", _PAIR)
+_BLOCK_RECORD = (
+    '{\n        "colSpan": [\n          %d,\n          %d\n        ],\n        "kind": "%s",\n'
+    '        "rowSpan": [\n          %d,\n          %d\n        ]\n      }'
+)
 _GENERATOR = '"generator": ' + json.dumps(
     {"name": GENERATOR_NAME, "version": GENERATOR_VERSION}, sort_keys=True, indent=2
 ).replace("\n", "\n    ")
@@ -248,17 +252,6 @@ def _nested(brackets: str, items: list[str], indent: str) -> str:
         return brackets
     inner = "\n  " + indent
     return brackets[0] + inner + ("," + inner).join(items) + "\n" + indent + brackets[1]
-
-
-def _span(span: tuple[int, ...]) -> str:
-    return _nested("[]", [str(i) for i in span], "        ")
-
-
-def _record(record: BlockRecord) -> str:
-    rows, cols = record.rows, record.cols
-    if len(rows) == len(cols) == 2:
-        return _PAIR_RECORD % (*cols, record.kind.value, *rows)
-    return _BLOCK_RECORD % (_span(cols), record.kind.value, _span(rows))
 
 
 def _literals(pairs) -> str:
@@ -278,7 +271,7 @@ def dump_matrix_file(
     entries = [
         _ENTRY % (col, value.den, value.num, row, value.sign) for row, col, value in matrix.entries
     ]
-    log = [_record(record) for record in matrix.block_log]
+    log = [_BLOCK_RECORD % (*r.cols, r.kind.value, *r.rows) for r in matrix.block_log]
     # in sorted key order: blockLog, eigenvalues, generator, norms_squared
     metadata = ['"blockLog": ' + _nested("[]", log, "    ")]
     if spec is not None:
@@ -325,8 +318,9 @@ def matrix_from_payload(payload: dict) -> SynthesisMatrix:
     Raises ValueError unless the payload is an object with ``dim``,
     ``count`` and ``entries``; the public :class:`SynthesisMatrix`
     constructor checks the cells.  Block-log records are built through
-    ``construct._block_record`` once their spans are tuples of ints and
-    their kind is a :class:`BlockKind`.
+    ``construct._block_record`` once their spans are pairs of ints and
+    their kind is a :class:`BlockKind`; any other span length raises the
+    ValueError the public ``construct.BlockRecord`` raises, naming the file.
     Entries with equal raw ``(sign, num, den)`` share one value, built
     once from the ints (:func:`~spectral_tetris.scalar.radical_of_ints`):
     values are immutable, and equal raw fields convert equally.  A
@@ -355,6 +349,9 @@ def matrix_from_payload(payload: dict) -> SynthesisMatrix:
         if kind is None:  # BlockKind raises its own error on anything else
             kind = BlockKind(text)
         rows, cols = _int_tuple(record["rowSpan"]), _int_tuple(record["colSpan"])
+        if len(rows) != 2 or len(cols) != 2:
+            detail = f"block spans must be index pairs, got rows {rows}, cols {cols}"
+            raise ValueError(f"malformed matrix file: {detail}")
         log.append(_block_record(kind, rows, cols))
     return SynthesisMatrix(
         dim=_int_field(payload["dim"]),

@@ -7,67 +7,39 @@ singleton; a larger one opens a 2x2 block whose partner must carry at
 least the residual; the block's second-row mass is charged against the
 next eigenvalue.  A partial assignment is abandoned the moment any of
 those constraints fails, which decides whole families of orderings at
-once.  Values are drawn per distinct magnitude, so permutations that only
-swap equal values are enumerated once.
+once.
 
 Each multiset is read once, into a table of its distinct values sorted
 decreasing, with their counts.  The search sees the values through that
-table alone: the walk places table indices, and a found ordering is a
-pair of index tuples, turned into values once, at the result.
+table alone, so permutations that only swap equal values are enumerated
+once, and a found ordering is a pair of index tuples, turned into values
+once, at the result.
 
 Three cheap heuristic orderings are tried before the exhaustive walk:
 norms decreasing with eigenvalues increasing, both decreasing, and both
-increasing.  They are read off the table (decreasing is table order),
-and each distinct one is checked on a :class:`FrameSpec` built from the
-table's values: one spec per candidate, and none in the walk.  The walk
-itself is budgeted by node count (deterministic, unlike wall time).
+increasing.  Each distinct one is checked on a :class:`FrameSpec` built
+from the table's values; the walk builds none.  The walk is budgeted by
+node count, which is deterministic, unlike wall time.
 
 The two sums are equal, so the remaining norm mass minus the remaining
 eigenvalue mass is the residual of the open row (positive) or minus the
-carry into the next row (zero or negative).  The walk takes one step
-per placed value (a block places two), and the sign of that mass picks
-the step: fill the open row, or open the next one.  Masses are plain
-ints: when the walk starts, it multiplies every value of the table by
-one common denominator D, the lcm of the table's denominators, so a step
-is one int subtraction and a test is one int comparison.  D is made
-when the walk starts (:meth:`_Walk._steps`), not with the table, so a
-request the heuristics answer never pays for it.  When D's bit length
-times the table's length passes ``_LIFT_LIMIT_BITS``, the walk runs the
-same steps on the table's Fractions instead, so the lifted table never
-holds more than about 16 MiB.
-
-The readiness scan (:func:`~spectral_tetris.readiness._scan`) keeps
-reduced pairs and argues against an lcm lift: there a row's mass cancels
-as the row closes, so a pair's denominator stays small, while D can be
-huge (about 340,000 bits for the squared norms 1/p, (p-1)/p over 20,000
-primes p near 10^5; lifted, that table would take 1.7 GB, so the walk
-takes the Fraction steps there).  The walk is different: a mass is the
-sum of an arbitrary prefix of values, so along a path its denominator
-grows towards D anyway.  On 135 pairwise coprime denominators (the
-Mersenne numbers 2^p - 1 for the primes p in [1000, 2000), D of 200,923
-bits), a walk of 20,000 nodes took 33 s on reduced pairs and takes
-under 3 s on ints (Python 3.11, one core of a 2-core x86-64 host).  On
-the same host, with the node and memo-hit counters kept in locals of
-the walk, the search-orderings benchmark's per-op median fell from 0.74
-to 0.61 scaled ms over 10 alternating pairs.
+carry into the next row (zero or negative), and its sign picks the step:
+fill the open row, or open the next one.  Masses are ints over D, the lcm
+of the table's denominators, so a step is one int subtraction and a test
+one int comparison.  The readiness scan
+(:func:`~spectral_tetris.readiness._scan`) keeps reduced pairs instead,
+since there a row's mass cancels as the row closes; a walk's mass sums an
+arbitrary prefix of values, so its denominator grows towards D anyway.
+D is made only when the walk runs, so a request the heuristics answer
+never pays for it.  D can be hundreds of thousands of bits on a table of
+many prime denominators, so past ``_LIFT_LIMIT_BITS`` of lifted table the
+walk takes the same steps on the table's Fractions.
 
 The steps run on an explicit stack of generators, one per live state on
 the current path, not on the interpreter's stack, so a row of thousands
-of values cannot overflow it.  :meth:`_Walk._steps` makes the step once
-per walk, as a closure over the walk's locals: the counts, the placed
-indices, the lifted masses, the weights, the dead set and the counters.
-For each child it makes, the step charges a node, stops past the budget
-and looks the child's key up in the dead set, all before it places the
-child's value.  A known-dead child so costs one count and one lookup,
-with no placement and no turn of the walk's loop.  Only a live child
-is yielded, and the loop pushes a generator for it; a generator that
-ends is popped.  Over the seed 1-3 search-orderings pools at
-``max_results`` 1 and 16, 184,884 of 339,307 nodes are such skips;
-taking them in the step, not in the loop, cut the walk's time there
-by 13-20% (median ratios of six in-process runs of 11 interleaved
-passes) and the benchmark's per-op median from 0.567 to 0.527 and from
-0.549 to 0.516 scaled ms, over two sets of 10 alternating pairs (same
-host).
+of values cannot overflow it.  A known-dead child is skipped inside the
+step that makes it, so it costs one count and one lookup, and no
+placement and no turn of the walk's loop.
 
 Many prefixes reach the same state: the same values placed in another
 order.  A state is fixed by the remaining multiplicities of each norm
@@ -79,8 +51,8 @@ Completions, duplicates included, are what tell a dead subtree from a
 live one.  A walk stopped by the budget or the result limit adds
 nothing.  A skipped subtree holds no completion, so the walk meets the
 same completions in the same order as without the set.  Only the node
-count drops.  The step charges a child's node before it looks the child
-up, so a skipped state is charged too, and counts stay deterministic.
+count drops, and since a skipped state is charged as a node, counts stay
+deterministic.
 
 A state's key is one int, its remaining counts in mixed radix: table
 index i (norms first, then eigenvalues) weighs w_i, the product of
@@ -91,14 +63,9 @@ themselves.  The walk carries the key as it carries the mass: a step
 subtracts the weight of the value it places (a block, two weights),
 and the starting key is the product of every m_j + 1, less one.  The
 norms' weighted counts sum to less than E, the first eigenvalue's
-weight, so "an eigenvalue is left" is ``key >= E``.  A key per state
-that was a tuple as long as the table made each node cost O(distinct
-values) and the set grow with nodes times distinct values: squared
-norms 10, 1/p and (p-1)/p over the first 2,000 primes, with 402
-eigenvalues 5, took 2.7 s and 643 MB at a budget of 20,000 nodes and
-take 0.5 s and 45 MB, and the search-orderings benchmark's per-op
-median fell from 0.604 to 0.547 scaled ms over 10 alternating pairs
-(Python 3.11, a 2-core x86-64 host).
+weight, so "an eigenvalue is left" is ``key >= E``.  A key that was a
+tuple as long as the table would make each node cost O(distinct values),
+and the set grow with nodes times distinct values.
 
 The set takes keys while their total bit length, each key counted at
 the width of the starting key (the largest), stays within
@@ -107,9 +74,7 @@ The cap is fixed by the table, so node counts still repeat.  It binds
 only on tables whose keys are thousands of bits wide, walked for tens of
 thousands of nodes.  There a dead state the set has no room for is
 walked again, so ``nodes_used`` and ``memo_hits`` can differ from an
-uncapped walk, and nothing else can.  The spec above at the default
-budget holds 33,470 keys of 4,010 bits: 69 MB and 88 s, against 333 MB
-and 24 s with 478,094 keys uncapped.
+uncapped walk, and nothing else can.
 """
 
 from __future__ import annotations
@@ -180,23 +145,14 @@ class _StopSearch(Exception):
 class _Walk:
     """State of one exhaustive walk, and the search's table of values.
 
-    The distinct norm and eigenvalue values, Fractions, are sorted once,
-    decreasing; ``norm_counts`` / ``eig_counts`` hold how many of each
-    remain.  Past the table the walk holds indices into it:
-    ``norm_seq`` / ``eig_seq`` are the indices placed so far, in order,
-    and ``found`` each ready ordering as a pair of index tuples.
-    :meth:`_steps` lifts the values once into ints over the common
-    denominator D of the table (see :meth:`_lift`), so a mass is one int.
-    The lift waits for :meth:`run`, so a request the heuristics answer
-    never pays for it.  Unlike the readiness scan's row masses, which
-    cancel as each row closes, a walk's mass sums an arbitrary prefix of
-    values, so its denominator grows towards D anyway.  :meth:`_steps`
-    also makes each table index's mixed-radix weight and how many keys
-    ``dead`` may take: ``dead`` holds the int keys of states whose
-    subtree was walked to the end with no completion, at most
-    ``_LIFT_LIMIT_BITS`` bits of them, each counted at the starting key's
-    width.  Where that cap binds, a dead state may be walked again, so
-    only ``nodes_used`` and ``memo_hits`` can grow.
+    ``norm_values`` / ``eig_values`` are the distinct values, Fractions,
+    decreasing, and ``norm_counts`` / ``eig_counts`` how many of each
+    remain.  Past the table the walk holds indices into it: ``norm_seq``
+    / ``eig_seq`` are the indices placed so far, in order, and ``found``
+    each ready ordering as a pair of index tuples.  ``dead`` holds the
+    keys of the states known dead.  :meth:`run` stores the counters
+    ``nodes``, ``memo_hits`` and ``budget_hit``; :meth:`record` counts
+    ``completions``.
     """
 
     def __init__(self, req: SearchRequest):
@@ -224,9 +180,9 @@ class _Walk:
 
     def _lift(self) -> tuple[list, list]:
         """The norm and eigenvalue values, each times D, the lcm of the
-        table's denominators: ints, so the walk adds no fractions.  Once D's
-        bit length times the table's length passes ``_LIFT_LIMIT_BITS``,
-        the lcm stops and the table's Fractions are returned instead."""
+        table's denominators, as ints.  Once D's bit length times the
+        table's length passes ``_LIFT_LIMIT_BITS``, the lcm stops and the
+        table's Fractions are returned instead."""
         values = self.norm_values + self.eig_values
         denominators = {value.denominator for value in values}
         common = 1
@@ -243,15 +199,14 @@ class _Walk:
     def _steps(self):
         """The walk's step, its starting key and a reader of its counters.
 
-        Lifts the table (:meth:`_lift`), makes the mixed-radix weights and
-        the room of ``dead``, and returns ``(children, key, tally)``:
+        Lifts the table (:meth:`_lift`), makes each table index's weight
+        and the room of ``dead``, and returns ``(children, key, tally)``:
         ``children(mass, key)`` is a generator over the live children of
         the state ``key`` with mass ``mass``, ``key`` is the starting key,
-        and ``tally()`` reads ``(nodes, memo_hits)``.  The step is a closure
-        over these locals and keeps the counters itself.  For each child it
-        makes, it charges a node, stops past the budget, and looks the
-        child's key up in ``dead``, all before it places the child's value:
-        a known-dead child costs a charge and a lookup.  A live child's
+        and ``tally()`` reads ``(nodes, memo_hits)``.  For each child it
+        makes, the generator charges a node, raises ``_StopSearch`` past
+        the budget, and skips a child whose key is in ``dead`` as a memo
+        hit, all before it places the child's value.  A live child's
         ``(mass, key)`` is yielded with its value placed while its subtree
         is walked: ``mass > 0`` fills the open row, and ``mass <= 0`` opens
         the next row or, with no eigenvalue left, records a completion.  A
@@ -351,10 +306,9 @@ class _Walk:
         current path.  The loop resumes the top one: a live child it
         yields gets a generator of its own on top, and a generator that
         ends is popped, so its parent resumes once the child's subtree is
-        done.  Known-dead children never reach the loop: the step
-        charges and skips them itself.  The counters are stored back
-        however the walk ends; the budget stopped it if and only if more
-        nodes were charged than it allows."""
+        done.  The counters are stored back however the walk ends; the
+        budget stopped it if and only if more nodes were charged than it
+        allows."""
         children, key, tally = self._steps()
         stack = [children(0, key)]
         push, pop = stack.append, stack.pop
@@ -371,9 +325,8 @@ class _Walk:
 
 
 # Both helpers make a list before the tuple.  CPython's ``tuple`` of an
-# iterator with no length hint starts at ten slots and shrinks them, which
-# raised peak RSS by 0.5 MB over 1,280 searches; of a list, it allocates
-# the exact size.
+# iterator with no length hint starts at ten slots and shrinks them; of a
+# list, it allocates the exact size.
 
 
 def _decreasing(counts: list[int]) -> tuple[int, ...]:

@@ -332,19 +332,22 @@ def radical_via_fraction(item: dict) -> RadicalScalar:
 def matrix_from_payload_per_entry(payload: dict) -> SynthesisMatrix:
     """Reference for ``formats.matrix_from_payload``: one
     ``radical_via_fraction`` per entry, no sharing, every int field through
-    ``int_field``, and the library's own exceptions unwrapped."""
+    ``int_field``, every record through the public ``BlockRecord``, whose
+    refusal of a span that is not a pair names the matrix file, and the
+    library's other exceptions unwrapped."""
     entries = [
         (int_field(item["row"]), int_field(item["col"]), radical_via_fraction(item))
         for item in payload["entries"]
     ]
-    log = tuple(
-        BlockRecord(
-            kind=BlockKind(record["kind"]),
-            rows=tuple(map(int_field, record["rowSpan"])),
-            cols=tuple(map(int_field, record["colSpan"])),
-        )
-        for record in payload.get("metadata", {}).get("blockLog", [])
-    )
+    log = []
+    for record in payload.get("metadata", {}).get("blockLog", []):
+        kind = BlockKind(record["kind"])
+        rows = tuple(map(int_field, record["rowSpan"]))
+        cols = tuple(map(int_field, record["colSpan"]))
+        try:
+            log.append(BlockRecord(kind=kind, rows=rows, cols=cols))
+        except ValueError as exc:
+            raise ValueError(f"malformed matrix file: {exc}") from exc
     return SynthesisMatrix(
         dim=int_field(payload["dim"]),
         count=int_field(payload["count"]),

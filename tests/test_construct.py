@@ -414,6 +414,14 @@ def test_value_objects_built_from_lists_equal_and_hash_as_their_tuple_twins():
     assert listed_block == block and hash(listed_block) == hash(block)
 
 
+@pytest.mark.parametrize("span", [(), (0,), (0, 1, 2), [], [0], [0, 1, 2]])
+def test_block_record_spans_are_pairs(span):
+    with pytest.raises(ValueError, match="block spans must be index pairs"):
+        BlockRecord(BlockKind.SINGLETON, span, (0, 0))
+    with pytest.raises(ValueError, match="block spans must be index pairs"):
+        BlockRecord(BlockKind.SINGLETON, (0, 0), span)
+
+
 def test_synthesis_matrix_drops_zeros_and_reads_cells():
     one, zero = RadicalScalar(1, F(1)), RadicalScalar.zero()
     matrix = SynthesisMatrix(2, 3, ((1, 2, one), (0, 1, zero), (0, 0, -one)), ())

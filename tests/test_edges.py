@@ -214,6 +214,16 @@ _PINNED_MATRIX_ERRORS = {
         {"entries": [_entry(0, 0, 1, -2), _entry(1, 1)]},
         "error: radicand must be nonnegative\n",
     ),
+    "one-index-row-span": (
+        {"metadata": {"blockLog": [{"kind": "singleton", "rowSpan": [0], "colSpan": [0, 0]}]}},
+        "error: malformed matrix file: block spans must be index pairs, "
+        "got rows (0,), cols (0, 0)\n",
+    ),
+    "three-index-row-span": (
+        {"metadata": {"blockLog": [{"kind": "block-2x2", "rowSpan": [0, 1, 2], "colSpan": [0, 1]}]}},
+        "error: malformed matrix file: block spans must be index pairs, "
+        "got rows (0, 1, 2), cols (0, 1)\n",
+    ),
 }
 
 
@@ -468,6 +478,32 @@ def test_cli_refuses_deeply_nested_json_in_one_line(tmp_path, command, depth):
     assert done.stdout == ""
     assert done.stderr == f"error: malformed {what}: JSON nested too deeply\n"
     assert not (tmp_path / "out.json").exists()
+
+
+# contents of a file that is not UTF-8 JSON
+_NOT_JSON = {"empty": b"", "open-brace": b"{", "not-utf-8": b"\xff"}
+
+
+@pytest.mark.parametrize("name", sorted(_NOT_JSON))
+@pytest.mark.parametrize("command", ["check", "construct", "search", "verify", "verify --spec"])
+def test_cli_names_the_kind_of_a_file_that_is_not_json(tmp_path, capsys, command, name):
+    bad, matrix, out = tmp_path / "bad.json", tmp_path / "matrix.json", tmp_path / "out.json"
+    bad.write_bytes(_NOT_JSON[name])
+    matrix.write_text(json.dumps(_GOOD_MATRIX), encoding="utf-8")
+    args = {
+        "check": ["check", bad],
+        "construct": ["construct", bad, out],
+        "search": ["search", bad],
+        "verify": ["verify", bad],
+        "verify --spec": ["verify", matrix, "--spec", bad],
+    }[command]
+    what = "matrix file" if command == "verify" else "spec file"
+    assert main(list(map(str, args))) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: malformed {what}: ")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -60,7 +60,8 @@ VALUES = st.builds(
     BIG,
     BIG,
 )
-SPANS = st.lists(st.integers(-3, 10**12), max_size=3).map(tuple)
+INDICES = st.integers(-3, 10**12)
+SPANS = st.tuples(INDICES, INDICES)
 RECORDS = st.builds(BlockRecord, st.sampled_from(list(BlockKind)), SPANS, SPANS)
 RATIONALS = st.builds(Fraction, BIG, BIG)
 SPECS = st.builds(
@@ -138,6 +139,20 @@ def test_shared_values_load_exactly_what_per_entry_values_load(entries):
     payload = {"dim": 2, "count": 3, "entries": entries}
     expected = _outcome(matrix_from_payload_per_entry, payload)
     assert _outcome(formats.matrix_from_payload, payload) == expected
+
+
+@pytest.mark.parametrize(
+    "rows, cols", [([0], [0, 0]), ([0, 1, 2], [0, 1]), ([0, 0], []), ([0, 1], [0, 1.0, 2])]
+)
+def test_both_loaders_refuse_a_span_that_is_not_a_pair_alike(rows, cols):
+    record = {"kind": "block-2x2", "rowSpan": rows, "colSpan": cols}
+    payload = {"dim": 2, "count": 3, "entries": [], "metadata": {"blockLog": [record]}}
+    messages = []
+    for load in (formats.matrix_from_payload, matrix_from_payload_per_entry):
+        with pytest.raises(ValueError, match="^malformed matrix file: block spans") as caught:
+            load(payload)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
 
 
 def test_equal_raw_fields_of_different_types_load_as_one_value():

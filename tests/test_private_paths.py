@@ -1,9 +1,8 @@
 """The private constructors against the public ones.
 
 ``pnstc`` builds its :class:`SynthesisMatrix` and every
-:class:`BlockRecord` past the public constructors' checks, ``build_block``
-its :class:`Block2x2` past the public coercion of rows to tuples, and the
-matrix loader builds its records so.  Each object must equal, and hash
+:class:`BlockRecord` past the public constructors' checks, and the matrix
+loader builds its records so.  Each object must equal, and hash
 like, what the public constructor builds from the same values, and must
 set every attribute the public constructor sets.  A :class:`FrameSpec`
 has one constructor: the spec file parser parses each distinct literal
