@@ -74,7 +74,8 @@ class BlockRecord:
     ``rows``/``cols`` are inclusive 0-based spans, each a pair (first,
     last); every nonzero entry of the matrix belongs to exactly one
     record.  The constructor keeps either span given as any iterable as a
-    tuple, and raises ValueError unless both are pairs.
+    tuple, and raises ValueError unless both are pairs of ints (``bool``
+    and ``float`` are not ints here, as in the matrix file loader).
     """
 
     kind: BlockKind
@@ -83,7 +84,7 @@ class BlockRecord:
 
     def __post_init__(self):
         rows, cols = tuple(self.rows), tuple(self.cols)
-        if len(rows) != 2 or len(cols) != 2:
+        if len(rows) != 2 or len(cols) != 2 or any(type(i) is not int for i in rows + cols):
             raise ValueError(f"block spans must be index pairs, got rows {rows}, cols {cols}")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)

@@ -373,11 +373,19 @@ def majorizes(eigenvalues, norms_sq) -> bool:
     nsq = [(v.numerator, v.denominator) for v in sorted(spec.norms_sq, reverse=True)]
     if sum_ratios(eig) != sum_ratios(nsq):  # reduced pairs: equal iff the values are
         return False
-    eig_acc = nsq_acc = (0, 1)
-    for n, value in enumerate(eig):
+    return _dominates(eig, nsq)
+
+
+def _dominates(eig_pairs, norm_pairs) -> bool:
+    """The prefix-sum half of :func:`majorizes`: True iff every partial
+    sum of ``eig_pairs`` is at least the sum of as many of ``norm_pairs``.
+    Both are reduced ``(num, den)`` pairs, sorted decreasing, and the
+    caller has checked that their sums are equal."""
+    eig_acc = norm_acc = (0, 1)
+    for n, value in enumerate(eig_pairs):
         eig_acc = add_ratios(*eig_acc, *value)
-        if n < len(nsq):
-            nsq_acc = add_ratios(*nsq_acc, *nsq[n])
-        if nsq_acc[0] * eig_acc[1] > eig_acc[0] * nsq_acc[1]:
+        if n < len(norm_pairs):
+            norm_acc = add_ratios(*norm_acc, *norm_pairs[n])
+        if norm_acc[0] * eig_acc[1] > eig_acc[0] * norm_acc[1]:
             return False
     return True

@@ -15,6 +15,20 @@ table alone, so permutations that only swap equal values are enumerated
 once, and a found ordering is a pair of index tuples, turned into values
 once, at the result.
 
+Before anything else the search asks whether any frame exists.  A ready
+ordering gives a synthesis matrix F with FF* = diag(eigenvalues) and
+squared column norms the norms, so its Gram matrix F*F has those norms
+on its diagonal and the eigenvalues, padded with zeros, as its spectrum.
+By Schur-Horn for frames (Antezana, Massey, Ruiz and Stojanoff, Illinois
+J. Math. 2007) the eigenvalues then majorize the norms.  The search tests
+this first, on the table's values expanded by their counts (the prefix-sum
+half of :func:`~spectral_tetris.readiness.majorizes`; the request has
+checked the sums).  A request that fails has no ready ordering, and is
+answered exhausted, with no orderings and no nodes, before any heuristic,
+lift or walk.  So the gate changes ``nodes_used`` and ``memo_hits`` only,
+and only on such a request: a walk found no ordering there either, but
+it could stop at its budget, undecided, where the gate decides.
+
 Three cheap heuristic orderings are tried before the exhaustive walk:
 norms decreasing with eigenvalues increasing, both decreasing, and both
 increasing.  Each distinct one is checked on a :class:`FrameSpec` built
@@ -86,7 +100,7 @@ from itertools import accumulate
 from math import lcm
 from operator import mul
 
-from .readiness import FrameSpec, check_ready
+from .readiness import FrameSpec, _dominates, _ratio_tuple, check_ready
 from .scalar import sum_ratios
 
 DEFAULT_BUDGET = 1_000_000
@@ -340,9 +354,14 @@ def _pick(table: list, indices: tuple[int, ...]) -> tuple:
 
 
 def find_ready_orderings(req: SearchRequest) -> SearchResult:
-    """Enumerate ready ordering pairs, heuristics first, then exhaustively."""
+    """Enumerate ready ordering pairs: none if the eigenvalues fail to
+    majorize the norms, else heuristics first, then exhaustively."""
     walk = _Walk(req)
     norms_dec, eigs_dec = _decreasing(walk.norm_counts), _decreasing(walk.eig_counts)
+    # the sums are equal (SearchRequest), so this is the whole of majorizes
+    eig_pairs, norm_pairs = _ratio_tuple(walk.eig_values), _ratio_tuple(walk.norm_values)
+    if not _dominates(_pick(eig_pairs, eigs_dec), _pick(norm_pairs, norms_dec)):
+        return SearchResult(orderings=(), exhausted=True)
     norms_inc, eigs_inc = norms_dec[::-1], eigs_dec[::-1]
     candidates = [(norms_dec, eigs_inc), (norms_dec, eigs_dec), (norms_inc, eigs_inc)]
     try:

@@ -194,10 +194,11 @@ def verify_matrix(
 
     ``tol=None`` decides exactly and never falls back to floats.  A
     number runs float mode and must be nonnegative, so that row pairs
-    sharing no column are orthogonal in either mode.
+    sharing no column are orthogonal in either mode, and finite, so that
+    some pair of rows can fail the test.
     """
-    if tol is not None and not tol >= 0:
-        raise ValueError(f"tolerance must be nonnegative, got {tol!r}")
+    if tol is not None and not (tol >= 0 and math.isfinite(tol)):
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
     rows, cols = _square_sums(matrix)
     if tol is None:
         pairs = (pair for _, partners in _row_pairs(matrix.entries) for pair in partners.values())

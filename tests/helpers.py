@@ -8,8 +8,9 @@ import math
 import random
 import re
 from bisect import bisect_right
+from collections import defaultdict
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, combinations_with_replacement
 
 import pytest
 
@@ -21,6 +22,7 @@ from spectral_tetris import (
     FrameSpec,
     Partition,
     RadicalScalar,
+    SearchResult,
     SynthesisMatrix,
     Violation,
     build_block,
@@ -534,6 +536,43 @@ def reference_walk(walk) -> None:
             dead.add(key)
 
     visit(Fraction(0))
+
+
+def walk_alone(request) -> SearchResult:
+    """The search with neither its majorization gate nor its heuristic
+    candidates: ``search._Walk`` run alone on ``request``, its result in
+    the form ``find_ready_orderings`` gives."""
+    walk = search._Walk(request)
+    try:
+        walk.run()
+        exhausted = True
+    except search._StopSearch:
+        exhausted = False
+    found = [(search._pick(walk.norm_values, n), search._pick(walk.eig_values, e)) for n, e in walk.found]
+    return SearchResult(
+        orderings=tuple(sorted(found, key=lambda pair: (pair[1], pair[0]))),
+        exhausted=exhausted,
+        budget_exhausted=walk.budget_hit,
+        nodes_used=walk.nodes,
+        memo_hits=walk.memo_hits,
+    )
+
+
+def atlas(max_eigenvalues: int = 3, max_norms: int = 6, top: int = 8):
+    """Every pair ``(norms_sq, eigenvalues)`` of nonincreasing tuples of
+    ints in 1..``top`` with equal sums, with 2..``max_eigenvalues``
+    eigenvalues and more squared norms than eigenvalues, at most
+    ``max_norms``.  No randomness: by eigenvalue count, then norm count,
+    then each tuple in reverse lexicographic order."""
+    values = range(top, 0, -1)
+    for dim in range(2, max_eigenvalues + 1):
+        for count in range(dim + 1, max_norms + 1):
+            by_sum = defaultdict(list)
+            for norms in combinations_with_replacement(values, count):
+                by_sum[sum(norms)].append(norms)
+            for eigenvalues in combinations_with_replacement(values, dim):
+                for norms in by_sum[sum(eigenvalues)]:
+                    yield norms, eigenvalues
 
 
 def _rational_sqrt(q: Fraction) -> Fraction | None:

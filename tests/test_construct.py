@@ -414,7 +414,10 @@ def test_value_objects_built_from_lists_equal_and_hash_as_their_tuple_twins():
     assert listed_block == block and hash(listed_block) == hash(block)
 
 
-@pytest.mark.parametrize("span", [(), (0,), (0, 1, 2), [], [0], [0, 1, 2]])
+@pytest.mark.parametrize(
+    "span",
+    [(), (0,), (0, 1, 2), [], [0], [0, 1, 2], (0.5, 0.7), (True, False), (0, 1.0), ("0", "1")],
+)
 def test_block_record_spans_are_pairs(span):
     with pytest.raises(ValueError, match="block spans must be index pairs"):
         BlockRecord(BlockKind.SINGLETON, span, (0, 0))

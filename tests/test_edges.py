@@ -375,6 +375,19 @@ def test_cli_float_mode_beyond_the_double_range_is_an_input_error(tmp_path, caps
     assert capsys.readouterr().err.count("error: ") == 1
 
 
+@pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "-1"])
+def test_cli_float_mode_refuses_a_tolerance_no_pair_can_fail(tmp_path, capsys, tol):
+    # two equal rows 1,1 are not orthogonal; under an infinite tolerance
+    # every pair passed, and the command reported an orthogonal frame
+    path = tmp_path / "eq.csv"
+    path.write_text("1,1\n1,1\n", encoding="utf-8")
+    assert main(["verify", str(path), "--mode", "float", f"--tol={tol}"]) == 1
+    assert capsys.readouterr() == (
+        "",
+        f"error: tolerance must be finite and nonnegative, got {float(tol)!r}\n",
+    )
+
+
 @pytest.mark.parametrize(
     "text, orthogonal",
     [
@@ -417,18 +430,57 @@ def test_cli_zero_row_is_found_before_allocating_by_the_header(tmp_path):
     assert done.stderr == "not a frame: row 0 is zero; the lower frame bound fails\n"
 
 
-def _cli_in_a_child(*argv: str, timeout: float = 20) -> subprocess.CompletedProcess:
-    """The CLI in a child process with 1 GiB of address space and a
-    ``timeout`` s cap."""
+def _python_in_a_child(*argv: str, timeout: float = 20) -> subprocess.CompletedProcess:
+    """Python with ``argv`` in a child process with 1 GiB of address space
+    and a ``timeout`` s cap; the package and the test helpers import."""
     src = str(Path(spectral_tetris.__file__).parent.parent)
     return subprocess.run(
-        [sys.executable, "-m", "spectral_tetris.cli", *argv],
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         timeout=timeout,
-        env={"PYTHONPATH": src},
+        env={"PYTHONPATH": os.pathsep.join([src, str(Path(__file__).parent)])},
         preexec_fn=_limit_address_space,
     )
+
+
+def _cli_in_a_child(*argv: str, timeout: float = 20) -> subprocess.CompletedProcess:
+    """The CLI in a child process with 1 GiB of address space and a
+    ``timeout`` s cap."""
+    return _python_in_a_child("-m", "spectral_tetris.cli", *argv, timeout=timeout)
+
+
+# The walk alone (``helpers.walk_alone``) on the spec file argv[1] with
+# budget argv[2]: its result with the orderings counted.
+_WALK_ALONE = """
+import dataclasses, json, sys
+from helpers import walk_alone
+from spectral_tetris import SearchRequest, formats
+spec, _ = formats.load_spec_file(sys.argv[1])
+result = walk_alone(SearchRequest(spec.norms_sq, spec.eigenvalues, budget=int(sys.argv[2])))
+print(json.dumps({**dataclasses.asdict(result), "orderings": len(result.orderings)}))
+"""
+
+
+def _walks_to_the_budget_past_the_gate(path: Path, budget: int, timeout: float = 20) -> None:
+    """The spec fails majorization, so ``search`` answers it exhausted
+    with no walk; the walk alone, in the same capped child, still runs to
+    ``budget`` and finds nothing."""
+    done = _cli_in_a_child("search", str(path), "--budget", str(budget), timeout=timeout)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == ""
+    assert json.loads(done.stdout) == {
+        "orderings": [],
+        "exhausted": True,
+        "budget_exhausted": False,
+        "nodes_used": 0,
+    }
+    done = _python_in_a_child("-c", _WALK_ALONE, str(path), str(budget), timeout=timeout)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    payload = json.loads(done.stdout)
+    assert payload["budget_exhausted"] is True and payload["nodes_used"] == budget + 1
+    assert payload["orderings"] == 0 and payload["exhausted"] is False
 
 
 def test_cli_feasible_with_a_twelve_digit_dim_finishes():
@@ -536,7 +588,8 @@ def test_cli_search_counts_many_distinct_norms_in_linear_time(tmp_path):
 
 def test_cli_search_on_six_hundred_tiny_norms_in_one_row_stops_at_the_budget(tmp_path):
     # eigenvalues 5 and 5 + t, norms^2 10 and k/360000 for k = 1..600 (sum t):
-    # the tiny norms fill one row, one recursive step each
+    # 10 > 5 + t fails majorization; past the gate the tiny norms fill
+    # one row, one recursive step each
     tiny = [Fraction(k, 360000) for k in range(1, 601)]
     spec = {
         "dim": 2,
@@ -545,11 +598,7 @@ def test_cli_search_on_six_hundred_tiny_norms_in_one_row_stops_at_the_budget(tmp
     }
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec), encoding="utf-8")
-    done = _cli_in_a_child("search", str(path), "--budget", "5000")
-    assert done.returncode == 3, done.stderr
-    assert done.stderr == ""
-    payload = json.loads(done.stdout)
-    assert payload["budget_exhausted"] is True and payload["nodes_used"] == 5001
+    _walks_to_the_budget_past_the_gate(path, 5000)
 
 
 def test_cli_search_on_two_thousand_tiny_norms_in_one_row_stops_at_the_budget(tmp_path):
@@ -563,11 +612,7 @@ def test_cli_search_on_two_thousand_tiny_norms_in_one_row_stops_at_the_budget(tm
     }
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec), encoding="utf-8")
-    done = _cli_in_a_child("search", str(path), "--budget", "5000")
-    assert done.returncode == 3, done.stderr
-    assert done.stderr == ""
-    payload = json.loads(done.stdout)
-    assert payload["budget_exhausted"] is True and payload["nodes_used"] == 5001
+    _walks_to_the_budget_past_the_gate(path, 5000)
 
 
 def test_cli_zero_column_is_found_before_allocating_by_the_count(tmp_path):
@@ -594,37 +639,30 @@ def _primes_above(low: int, count: int) -> list[int]:
 def test_cli_search_walks_many_coprime_denominators_fast(tmp_path):
     # squared norms 10, 1/m and (m-1)/m for the 135 Mersenne numbers
     # m = 2^p - 1 with p prime in [1000, 2000): pairwise coprime, so their
-    # lcm has 200,923 bits.  Every eigenvalue is 5, so the norm 10 fits
-    # no row and the walk runs to its budget.  Masses summed as reduced
-    # pairs took 33 s; as ints over the lcm, under 3 s (Python 3.11, one
-    # core of a 2-core x86-64 host)
+    # lcm has 200,923 bits.  Every eigenvalue is 5, so the norm 10 fails
+    # majorization and, past the gate, fits no row: the walk runs to its
+    # budget.  Masses summed as reduced pairs took 33 s; as ints over the
+    # lcm, under 3 s (Python 3.11, one core of a 2-core x86-64 host)
     mersenne = [2**p - 1 for p in _primes_above(1000, 200) if p < 2000]
     norms = ["10", *(f"1/{m}" for m in mersenne), *(f"{m - 1}/{m}" for m in mersenne)]
     eigenvalues = ["5"] * ((10 + len(mersenne)) // 5)
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"dim": len(eigenvalues), "eigenvalues": eigenvalues, "norms_squared": norms}))
-    done = _cli_in_a_child("search", str(path), "--budget", "20000", timeout=10)
-    assert done.returncode == 3, done.stderr
-    payload = json.loads(done.stdout)
-    assert payload["budget_exhausted"] is True and payload["nodes_used"] == 20001
-    assert payload["orderings"] == []
+    _walks_to_the_budget_past_the_gate(path, 20000, timeout=10)
 
 
 def test_cli_search_memo_stays_small_on_thousands_of_distinct_norms(tmp_path):
     # squared norms 10, 1/p and (p-1)/p over the first 2,000 primes, and
-    # 402 eigenvalues 5: 4,001 distinct values.  A memo key per state as
-    # long as the table took 644 MB at --budget 20000 and ran out of this
-    # child's 1 GiB at 100000; one int per state takes about 50 MB
+    # 402 eigenvalues 5: 4,001 distinct values, failing majorization as
+    # above.  Past the gate, a memo key per state as long as the table
+    # took 644 MB at --budget 20000 and ran out of this child's 1 GiB at
+    # 100000; one int per state takes about 50 MB
     primes = _primes_above(1, 2_000)
     norms = ["10", *(f"1/{p}" for p in primes), *(f"{p - 1}/{p}" for p in primes)]
     spec = {"dim": 402, "eigenvalues": ["5"] * 402, "norms_squared": norms}
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec), encoding="utf-8")
-    done = _cli_in_a_child("search", str(path), "--budget", "100000", timeout=10)
-    assert done.returncode == 3, done.stderr
-    payload = json.loads(done.stdout)
-    assert payload["budget_exhausted"] is True and payload["nodes_used"] == 100001
-    assert payload["orderings"] == []
+    _walks_to_the_budget_past_the_gate(path, 100000, timeout=10)
 
 
 def test_cli_check_on_prime_denominators_stays_fast(tmp_path):

@@ -338,8 +338,8 @@ SEARCH_GOLDEN = {
         "max-results-16": "2e1bc9d5f7bbf9fb009ac809e3d462d3db49574fa33483ed9e86214e45127fd1",
     },
     "largest-catalog-infeasible": {
-        "max-results-1": "df8883566c49624e2850701185d2ba03787ba0f6d681047370833562b2aff058",
-        "max-results-16": "df8883566c49624e2850701185d2ba03787ba0f6d681047370833562b2aff058",
+        "max-results-1": "f5cdfa4dd6393a7f8840d6bf1753b9f939cc6e0f7d2a4428b0af88f8e069dc16",
+        "max-results-16": "f5cdfa4dd6393a7f8840d6bf1753b9f939cc6e0f7d2a4428b0af88f8e069dc16",
     },
     "seven-norm-tight": {
         "max-results-1": "c5e6c4ae40adbea4bf2ff5f8ea700d06865aa2ba5192524f08c2edf38006096d",
@@ -363,8 +363,8 @@ SEARCH_GOLDEN = {
     },
 }
 
-SEARCH_POOL_GOLDEN = "9023e5ae91fd6c10f4136e560d2405688150e0145ddf49726bbd87ce5dd40df7"
-FRACTIONAL_SEARCH_POOL_GOLDEN = "fc0dcbb15e71674d98b189f18e2535f5294b6cfa70833d2fab840929333ba5f4"
+SEARCH_POOL_GOLDEN = "fd87d0944e971f9186a26a0d8a23f7e061ce6f7f140716f202ecaf88827cf4cf"
+FRACTIONAL_SEARCH_POOL_GOLDEN = "b9b47f86d978e033aed48deb903aeb10bd0b6a45b9814544e9bc9cc05a8b7b80"
 
 
 @pytest.mark.parametrize("name", sorted(_specs()))

@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import itertools
+import json
 import math
 import random
 from collections import Counter
@@ -12,13 +14,15 @@ from hypothesis import strategies as st
 from spectral_tetris import (
     FrameSpec,
     SearchRequest,
+    SearchResult,
     check_ready,
     find_ready_orderings,
+    majorizes,
     pnstc,
     search,
     verify_matrix,
 )
-from helpers import mixed_radix_key, random_ready_spec, reference_walk
+from helpers import atlas, mixed_radix_key, random_ready_spec, reference_walk, walk_alone
 
 F = Fraction
 
@@ -206,16 +210,60 @@ def test_a_result_limit_returns_a_subset_of_the_full_result():
         assert len(result.orderings) == min(limit, len(full.orderings))
 
 
+_LARGEST_CATALOG_INFEASIBLE = SearchRequest(
+    norms_sq=(26, 20, 13, 12, 7, 4, 3, 3), eigenvalues=(24, 24, 22, 18)
+)
+
+
+def _walked(request) -> SearchResult:
+    """The search's result, or the walk alone's on a request that fails
+    majorization, which the search answers with no walk: either way the
+    request is walked as the search walked it before its gate."""
+    if majorizes(request.eigenvalues, request.norms_sq):
+        return find_ready_orderings(request)
+    return walk_alone(request)
+
+
 def test_largest_catalog_infeasible_walk():
+    # 24 < 26: the eigenvalues fail to majorize the norms, so the search
+    # answers exhausted with no walk
+    request = _LARGEST_CATALOG_INFEASIBLE
+    assert not majorizes(request.eigenvalues, request.norms_sq)
+    result = find_ready_orderings(request)
+    assert result.orderings == ()
+    assert result.exhausted and not result.budget_exhausted
+    assert result.nodes_used == 0
+    assert result.memo_hits == 0
+    assert result == find_ready_orderings(request)
+
+
+def test_largest_catalog_infeasible_walk_without_the_gate():
     # The search-orderings catalog's largest infeasible walk: 36,666 nodes
     # without the dead-state memo.
-    request = SearchRequest(norms_sq=(26, 20, 13, 12, 7, 4, 3, 3), eigenvalues=(24, 24, 22, 18))
-    result = find_ready_orderings(request)
+    result = walk_alone(_LARGEST_CATALOG_INFEASIBLE)
     assert result.orderings == ()
     assert result.exhausted and not result.budget_exhausted
     assert result.nodes_used == 2025
     assert result.memo_hits == 1396
-    assert result == find_ready_orderings(request)
+    assert result == walk_alone(_LARGEST_CATALOG_INFEASIBLE)
+
+
+def test_a_request_that_fails_majorization_never_lifts_or_checks(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("reached past the gate")
+
+    monkeypatch.setattr(search._Walk, "_lift", refuse)
+    monkeypatch.setattr(search, "check_ready", refuse)
+    # 2 < 3, then fewer norms than eigenvalues (2 + 1 < 2 + 2), then the
+    # largest catalog walk: each answered before any candidate or lift
+    requests = [
+        SearchRequest(norms_sq=(3, 1), eigenvalues=(2, 2)),
+        SearchRequest(norms_sq=(2, 2), eigenvalues=(2, 1, 1)),
+        dataclasses.replace(_LARGEST_CATALOG_INFEASIBLE, budget=1),
+    ]
+    for request in requests:
+        assert not majorizes(request.eigenvalues, request.norms_sq)
+        assert find_ready_orderings(request) == SearchResult(orderings=(), exhausted=True)
 
 
 def test_unready_multiset_walk():
@@ -245,14 +293,14 @@ def test_the_walk_on_fractions_past_the_lift_limit_matches_the_int_walk(monkeypa
     # Fractions come from a patched ``_lift``, since a patched limit would
     # also shrink the dead set's room.
     requests = [
-        SearchRequest(norms_sq=(26, 20, 13, 12, 7, 4, 3, 3), eigenvalues=(24, 24, 22, 18)),
+        _LARGEST_CATALOG_INFEASIBLE,
         SearchRequest(norms_sq=(7, 7, 6, 1, 1, 3, 3), eigenvalues=(F(28, 3),) * 3, max_results=100),
         *_fractional_requests(77, 60),
     ]
-    on_ints = [find_ready_orderings(request) for request in requests]
+    on_ints = [_walked(request) for request in requests]
     assert any(result.nodes_used for result in on_ints)
     monkeypatch.setattr(search._Walk, "_lift", lambda walk: (walk.norm_values, walk.eig_values))
-    assert [find_ready_orderings(request) for request in requests] == on_ints
+    assert [_walked(request) for request in requests] == on_ints
 
 
 def test_the_lift_past_its_limit_returns_the_table_fractions(monkeypatch):
@@ -322,7 +370,7 @@ def test_the_int_keyed_walk_matches_the_tuple_keyed_reference(request, path, roo
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(search, "_LIFT_LIMIT_BITS", limit)
         patch.setattr(search._Walk, "run", reference_walk)
-        expected = find_ready_orderings(request)
+        expected = _walked(request)
 
     walks, mass_types = set(), set()
     steps = search._Walk._steps
@@ -345,7 +393,7 @@ def test_the_int_keyed_walk_matches_the_tuple_keyed_reference(request, path, roo
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(search, "_LIFT_LIMIT_BITS", limit)
         patch.setattr(search._Walk, "_steps", checked)
-        result = find_ready_orderings(request)
+        result = _walked(request)
     assert result == expected
     assert mass_types <= {Fraction if path == "fraction" else int}
     for walk in walks:
@@ -354,7 +402,7 @@ def test_the_int_keyed_walk_matches_the_tuple_keyed_reference(request, path, roo
 
 _SWEPT_REQUESTS = {
     # the largest catalog infeasible walk (2,025 nodes)
-    "catalog": SearchRequest(norms_sq=(26, 20, 13, 12, 7, 4, 3, 3), eigenvalues=(24, 24, 22, 18)),
+    "catalog": _LARGEST_CATALOG_INFEASIBLE,
     # the unready multiset of test_unready_multiset_walk (9,743 nodes)
     "unready": SearchRequest(norms_sq=(5, 1, 7, 1, 2, 9, 8, 8, 10), eigenvalues=(4, 37, 3, 5, 2)),
     # the README spec, stopped by its result limit
@@ -369,16 +417,46 @@ def test_every_budget_stops_where_the_reference_stops(name):
     # 64, then a stride up to the full walk's nodes_used + 1, gives the
     # reference's result in every field.
     request = _SWEPT_REQUESTS[name]
-    full = find_ready_orderings(request)
+    full = _walked(request)
     last = full.nodes_used + 1
     budgets = sorted({*range(1, 65), *range(65, last + 1, max(1, last // 40)), *range(last - 2, last + 1)})
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(search._Walk, "run", reference_walk)
-        expected = [
-            find_ready_orderings(dataclasses.replace(request, budget=budget)) for budget in budgets
-        ]
-    results = [find_ready_orderings(dataclasses.replace(request, budget=budget)) for budget in budgets]
+        expected = [_walked(dataclasses.replace(request, budget=budget)) for budget in budgets]
+    results = [_walked(dataclasses.replace(request, budget=budget)) for budget in budgets]
     assert results == expected
     for budget, result in zip(budgets, results):
         assert result.budget_exhausted == (budget < full.nodes_used)
         assert result == full or budget < full.nodes_used
+
+
+def test_the_atlas_box_is_pinned_and_the_gate_loses_no_ordering(monkeypatch):
+    # Every integer pair of the box (2-3 eigenvalues, at most 6 squared
+    # norms, values 1..8), each searched for one ordering: by the walk
+    # alone, by the search and by the search with its gate bypassed.  A
+    # pair is unready when it majorizes yet the walk decides every
+    # ordering and finds none.  No pair that fails majorization has a
+    # ready ordering, so the gate changes no answer: Schur-Horn, checked
+    # on the whole box.
+    requests = [SearchRequest(norms_sq=n, eigenvalues=e, max_results=1) for n, e in atlas()]
+    exists = [majorizes(request.eigenvalues, request.norms_sq) for request in requests]
+    walked = [walk_alone(request) for request in requests]
+    gated = [find_ready_orderings(request) for request in requests]
+    monkeypatch.setattr(search, "_dominates", lambda eig_pairs, norm_pairs: True)
+    ungated = [find_ready_orderings(request) for request in requests]
+
+    # each walk found its one ordering or decided every one
+    assert all(walk.orderings or walk.exhausted for walk in walked)
+    assert not any(walk.budget_exhausted for walk in walked)
+    for majorizing, walk in zip(exists, walked):
+        assert majorizing or walk.orderings == ()
+    for gate, no_gate in zip(gated, ungated):
+        assert (gate.orderings, gate.exhausted) == (no_gate.orderings, no_gate.exhausted)
+    unready = sorted(
+        [[int(v) for v in request.norms_sq], [int(v) for v in request.eigenvalues]]
+        for request, majorizing, walk in zip(requests, exists, walked)
+        if majorizing and not walk.orderings
+    )
+    assert (len(requests), sum(exists), len(unready)) == (8134, 7079, 53)
+    digest = hashlib.sha256(json.dumps(unready).encode("utf-8")).hexdigest()
+    assert digest == "0394f817503cc92cd3c32e0c80742b56cfba22c2bc7b8a9fc4c70809af5cd59f"

@@ -141,6 +141,12 @@ def test_float_mode_rejects_a_negative_tolerance():
         verify_matrix(pnstc(DEMO), tol=-1e-10)
 
 
+@pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan])
+def test_float_mode_rejects_a_tolerance_that_is_not_finite(tol):
+    with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+        verify_matrix(pnstc(DEMO), tol=tol)
+
+
 # Radicands from a few square classes: 2 (2, 8, 18, 1/2), 6 (6, 2/3, 3/2), 3, 1.
 CLASS_RADICANDS = tuple(F(v) for v in ("2", "8", "18", "1/2", "6", "2/3", "3/2", "3", "1", "4/9"))
 
